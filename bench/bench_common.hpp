@@ -9,8 +9,14 @@
 // simulator-dependent; the tables are about the paper's *shape* claims
 // (who wins, by what factor, where the crossovers are).
 //
-// All measurement goes through exp::ExperimentRunner::run_point -- the
-// benches declare scenarios; none of them hand-rolls a driver loop.
+// Measurement goes through exp::ExperimentRunner::run_point: the benches
+// declare scenarios, and every grid point runs the runner's one phase
+// sequence -- stabilize from the arbitrary initial state, warm up,
+// measure the closed-loop service, inject the planned fault, time
+// re-legitimacy. A plain point runs it once. A shared fleet runs it once
+// over the FleetSystem, with per-tenant slices and a fault scoped to
+// tenant 0 alone. A separate-engines fleet runs it once per standalone
+// system (seeds s .. s+R-1, only system 0 faulted) and sums the results.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -191,9 +191,12 @@ void emit_scale_scenario() {
 // made it O(n * recovery-sim-time / poll).
 void BM_WipeRecoveryDetection(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  std::unique_ptr<SystemBase> system = exp::make_system(
-      exp::TopologySpec::tree_random(n, 5), 2, 4, proto::Features::full(),
-      4, sim::DelayModel{}, 21);
+  std::unique_ptr<SystemBase> system =
+      SystemBuilder()
+          .topology(TopologySpec::tree_random(n, 5))
+          .kl(2, 4)
+          .seed(21)
+          .build();
   sim::SimTime stabilized = system->run_until_stabilized(2'000'000'000);
   KLEX_CHECK(stabilized != sim::kTimeInfinity, "bench system must boot");
   for (auto _ : state) {

@@ -28,11 +28,11 @@ void Session::begin_workload() {
   driver->begin();
 }
 
-void Session::apply_planned_fault(support::Rng& rng) {
+bool Session::apply_planned_fault(support::Rng& rng) {
   bool state_changed = false;
   switch (planned_fault) {
     case FaultKind::kNone:
-      return;
+      return false;
     case FaultKind::kTransient:
       system->inject_transient_fault(rng, fault_garbage);
       state_changed = true;  // corruption invalidated the sessions' view
@@ -52,15 +52,16 @@ void Session::apply_planned_fault(support::Rng& rng) {
       // duration) that the legacy single-fault path cannot express.
       KLEX_REQUIRE(false, "FaultKind ", to_string(planned_fault),
                    " needs a fault_plan() event, not fault()");
-      return;
+      return false;
   }
   // Epoch-cut rung: the O(1) incremental census detects the illegitimate
   // population the instant the fault lands; the batched drain models the
   // management plane reacting to that detection.
-  if (system->params().features.epoch_cut && system->epoch_cut_recover()) {
-    state_changed = true;  // the drain erased stored tokens
-  }
-  if (driver != nullptr && state_changed) driver->resync();
+  const bool drained =
+      system->params().features.epoch_cut && system->epoch_cut_recover();
+  // A drain erased stored tokens, so it also invalidates the sessions.
+  if (driver != nullptr && (state_changed || drained)) driver->resync();
+  return drained;
 }
 
 TopologyFaultResult Session::apply_fault_event(const FaultEvent& event,

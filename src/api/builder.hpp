@@ -71,8 +71,8 @@ struct Session {
   /// drain models the management plane reacting to that detection).
   /// Whenever the protocol state changed (transient corruption or a
   /// drain), the driver's sessions are resynced. No-op for
-  /// FaultKind::kNone.
-  void apply_planned_fault(support::Rng& rng);
+  /// FaultKind::kNone. Returns true when the epoch-cut drain ran.
+  bool apply_planned_fault(support::Rng& rng);
 
   /// Executes one staged fault event. Legacy kinds behave exactly like
   /// apply_planned_fault (with the event's own garbage count); topology

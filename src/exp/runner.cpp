@@ -5,12 +5,11 @@
 #include <chrono>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <thread>
 #include <tuple>
 
 #include "api/fleet.hpp"
-#include "proto/trace.hpp"
+#include "proto/messages.hpp"
 #include "stats/waiting_time.hpp"
 #include "support/check.hpp"
 #include "support/histogram.hpp"
@@ -20,10 +19,6 @@
 namespace klex::exp {
 
 namespace {
-
-RunResult run_fleet_shared(const ScenarioSpec& spec, const RunPoint& point);
-RunResult run_fleet_separate(const ScenarioSpec& spec,
-                             const RunPoint& point);
 
 /// The grid point's policy variant (null when the scenario has no
 /// policy axis).
@@ -43,19 +38,443 @@ const sim::ChaosConfig& chaos_of(const ScenarioSpec& spec,
                                                        : spec.chaos;
 }
 
-/// Fills the run-level grant-latency percentiles from the driver's
-/// per-node histograms (per-class slices are filled where the class
-/// cells are built).
-void collect_latency(const WorkloadDriver& driver, int n, RunResult& result) {
-  support::Histogram latency;
-  for (proto::NodeId node = 0; node < n; ++node) {
-    latency.merge(driver.grant_latency(node));
-  }
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Fills a run's or a class slice's grant-latency percentiles (count = 0
+/// leaves them unset / unemitted).
+template <typename Cell>
+void fill_latency(Cell& cell, const support::Histogram& latency) {
   if (latency.count() == 0) return;
-  result.latency_count = static_cast<std::int64_t>(latency.count());
-  result.latency_p50 = latency.quantile(0.5);
-  result.latency_p99 = latency.quantile(0.99);
-  result.latency_p999 = latency.quantile(0.999);
+  cell.latency_count = static_cast<std::int64_t>(latency.count());
+  cell.latency_p50 = latency.quantile(0.5);
+  cell.latency_p99 = latency.quantile(0.99);
+  cell.latency_p999 = latency.quantile(0.999);
+}
+
+/// Protocol messages sent per grant over the measurement window.
+void set_messages_per_grant(RunResult& result) {
+  if (result.grants == 0) return;
+  result.messages_per_grant =
+      static_cast<double>(result.control_messages + result.resource_messages +
+                          result.pusher_messages + result.priority_messages) /
+      static_cast<double>(result.grants);
+}
+
+// Fleet grid points support the single post-measurement transient fault
+// only (targeted at tenant 0). Staged fault plans imply live-topology
+// graph systems; fleets are tree-tenant only.
+void require_fleet_fault_supported(const ScenarioSpec& spec) {
+  KLEX_REQUIRE(spec.fault_plan.events.empty(),
+               "fleet grid points do not support staged fault plans");
+  KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
+                   spec.fault == ScenarioSpec::FaultKind::kTransient,
+               "fleet grid points support only none/transient faults");
+}
+
+/// The one declarative construction every grid point goes through:
+/// topology × params × workload × fault plan. A point with fleet > 1
+/// builds the shared-engine FleetSystem (tenant t seeded seed + t);
+/// graph-only knobs are ignored by tree and fleet builds.
+SystemBuilder builder_for(const ScenarioSpec& spec, const RunPoint& point) {
+  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
+  SystemBuilder builder;
+  builder.topology(point.topology)
+      .kl(point.k, point.l)
+      .features(point.features)
+      .cmax(spec.cmax)
+      .delays(spec.delays)
+      .seed(point.seed)
+      .seed_tokens(spec.seed_tokens)
+      .spread_tokens(spec.spread_tokens)
+      .beacon_period(spec.beacon_period)
+      .spanning_tree_deadline(spec.spanning_tree_deadline)
+      .threads(point.threads)
+      .workload(spec.workload)
+      .fault(spec.fault)
+      .fault_garbage(point.fault_garbage)
+      .fault_plan(spec.fault_plan)
+      .chaos(chaos_of(spec, variant));
+  if (point.fleet > 1) builder.fleet(point.fleet);
+  if (variant != nullptr) {
+    builder.retry_policy(variant->retry).admission_policy(variant->admission);
+  }
+  return builder;
+}
+
+/// The grid-point coordinates every result carries (the aggregate and
+/// bench_diff cell key).
+RunResult identity_of(const ScenarioSpec& spec, const RunPoint& point) {
+  RunResult result;
+  result.topology = point.topology.name();
+  result.features = point.features.name();
+  result.k = point.k;
+  result.l = point.l;
+  result.fault_garbage = point.fault_garbage;
+  result.threads = point.threads;
+  result.seed = point.seed;
+  if (point.fleet > 1) {
+    result.fleet = point.fleet;
+    result.fleet_mode = point.fleet_separate ? "separate" : "shared";
+  }
+  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
+  if (variant != nullptr) result.policy = variant->label;
+  return result;
+}
+
+/// What one pass of the phase sequence leaves besides its RunResult
+/// fields: the raw grant-latency samples (percentiles do not sum across
+/// a batch) and whether the fault step ran the epoch-cut drain.
+struct PhaseExtras {
+  support::Histogram latency;
+  bool drained = false;
+};
+
+/// The experiment's one phase sequence over a built session: stabilize
+/// from the arbitrary initial state (Theorem 1), warm up, measure the
+/// closed-loop k-out-of-ℓ service, inject the session's planned fault and
+/// time re-legitimacy. Fills every measured field of `result` (the
+/// identity fields are the caller's).
+///
+/// On a FleetSystem the same sequence runs over all tenants at once; the
+/// only fleet-specific steps are the per-tenant slices and the fault,
+/// which corrupts tenant 0 alone so the slices exhibit fault isolation
+/// (every other tenant's recovery_events stays 0 and its census stays
+/// correct throughout).
+PhaseExtras run_phases(const ScenarioSpec& spec, const RunPoint& point,
+                       Session& session, RunResult& result) {
+  PhaseExtras extras;
+  SystemBase& system = *session.system;
+  auto* fleet = dynamic_cast<FleetSystem*>(&system);
+  result.n = system.n();
+
+  // The wall clock starts after construction so events_per_sec measures
+  // the exclusion engine only (GraphSystem's constructor simulates a
+  // whole spanning-tree engine that is invisible to engine().stats()).
+  auto wall_start = std::chrono::steady_clock::now();
+
+  stats::WaitingTimeTracker waits(result.n);
+  // For fleets k is the max per-node need and l the sum of the tenants'
+  // populations (SystemBase accessors aggregate).
+  verify::SafetyMonitor safety(result.n, system.k(), system.l());
+  system.add_listener(&waits);
+  system.add_listener(&safety);
+  if (spec.stall_threshold > 0) {
+    // Continuous liveness watchdog: the monitor rides the engine as an
+    // observer so stalls are timestamped as they happen. The monitor is
+    // window-safe (lane-local buffers merged at the barrier), so this
+    // does not force the parallel engine into merged-serial.
+    safety.set_stall_threshold(spec.stall_threshold);
+    safety.watch(system.engine());
+  }
+  // Message-overhead accounting reads the engine's inline per-type send
+  // counters (window deltas) instead of attaching a per-send observer, so
+  // the measured window runs with an empty observer list.
+  auto sent_of = [&system](proto::TokenType type) {
+    return system.engine().sent_of_type(static_cast<std::int32_t>(type));
+  };
+
+  // Phase 1: stabilize, then settle through the warmup window. The
+  // legitimacy predicate is rung-aware, so reduced rungs (seeded token
+  // population, no controller) stabilize at t ~ 0; a fleet's predicate
+  // is the AND of its tenants' O(1) predicates.
+  sim::SimTime stabilized =
+      system.run_until_stabilized(spec.stabilize_deadline);
+  result.stabilized = stabilized != sim::kTimeInfinity;
+  result.stabilization_time = stabilized;
+  system.run_until(system.engine().now() + spec.warmup);
+
+  // Phase 2: closed-loop workload over the measurement window.
+  WorkloadDriver& driver = *session.driver;
+  session.begin_workload();
+
+  waits.reset_samples();
+  const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
+  const std::uint64_t resource_before = sent_of(proto::TokenType::kResource);
+  const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
+  const std::uint64_t priority_before = sent_of(proto::TokenType::kPriority);
+  sim::SimTime window_start = system.engine().now();
+  std::uint64_t events_before = system.engine().events_executed();
+  system.run_until(window_start + spec.horizon);
+
+  result.grants = driver.total_grants();
+  result.requests = driver.total_requests();
+  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
+                            static_cast<double>(spec.horizon);
+  result.outstanding_at_end = driver.outstanding();
+  result.quiescent_at_end =
+      system.engine().next_event_time() == sim::kTimeInfinity;
+  for (proto::NodeId node = 0; node < result.n; ++node) {
+    extras.latency.merge(driver.grant_latency(node));
+  }
+  fill_latency(result, extras.latency);
+  if (!spec.workload.classes.empty()) {
+    // Per-class slices, in class order plus a trailing "base" cell when
+    // any node fell through to the base behavior.
+    const std::size_t class_count = spec.workload.classes.size();
+    std::vector<ClassResult> cells(class_count + 1);
+    std::vector<support::Histogram> class_latency(class_count + 1);
+    for (std::size_t c = 0; c < class_count; ++c) {
+      cells[c].name = spec.workload.classes[c].name;
+    }
+    cells.back().name = "base";
+    for (proto::NodeId node = 0; node < result.n; ++node) {
+      int cls = session.workload.class_index[static_cast<std::size_t>(node)];
+      std::size_t slot = cls >= 0 ? static_cast<std::size_t>(cls)
+                                  : class_count;
+      ClassResult& cell = cells[slot];
+      ++cell.nodes;
+      cell.requests += driver.requests_issued(node);
+      cell.grants += driver.grants(node);
+      class_latency[slot].merge(driver.grant_latency(node));
+      if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
+    }
+    for (std::size_t slot = 0; slot <= class_count; ++slot) {
+      fill_latency(cells[slot], class_latency[slot]);
+    }
+    if (cells.back().nodes == 0) cells.pop_back();
+    result.classes = std::move(cells);
+  }
+  if (waits.waits().count() > 0) {
+    result.mean_wait_entries = waits.waits().mean();
+    result.max_wait_entries = waits.waits().max();
+    result.p99_wait_entries = waits.waits().p99();
+  }
+  result.control_messages =
+      sent_of(proto::TokenType::kControl) - control_before;
+  result.resource_messages =
+      sent_of(proto::TokenType::kResource) - resource_before;
+  result.pusher_messages = sent_of(proto::TokenType::kPusher) - pusher_before;
+  result.priority_messages =
+      sent_of(proto::TokenType::kPriority) - priority_before;
+  set_messages_per_grant(result);
+  // Snapshotted before any fault injection: self-stabilization only
+  // guarantees eventual safety, so transient violations while
+  // re-stabilizing are expected and must not read as regressions; the
+  // event count likewise covers the measurement window alone.
+  result.safety_ok = !safety.any_violation();
+  result.events_executed = system.engine().events_executed() - events_before;
+  const std::int64_t violations_at_measure_end = safety.violation_count();
+
+  if (fleet != nullptr) {
+    // Per-tenant slices of the workload window (the per-node driver
+    // counters are cumulative, so they are read before the fault phase
+    // accrues more grants).
+    result.tenants.resize(static_cast<std::size_t>(fleet->tenant_count()));
+    for (int t = 0; t < fleet->tenant_count(); ++t) {
+      TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
+      cell.tenant = t;
+      cell.n = fleet->tenant_n(t);
+      sim::SimTime since = fleet->tenant_stabilized_at(t);
+      cell.stabilized = since != sim::kTimeInfinity;
+      cell.stabilization_time = cell.stabilized ? since : 0;
+      for (proto::NodeId local = 0; local < cell.n; ++local) {
+        proto::NodeId node = fleet->global_id(t, local);
+        cell.requests += driver.requests_issued(node);
+        cell.grants += driver.grants(node);
+      }
+    }
+  }
+
+  // Phase 3 (optional): fault + recovery. A staged plan generalizes the
+  // single post-measurement fault: the engine advances to each event's
+  // scheduled time (relative to the end of the measurement window),
+  // applies it, re-stabilizes, and records the materialized incident.
+  auto recovery_start = std::chrono::steady_clock::now();
+  support::Rng fault_rng(point.seed ^ 0xFA17ull);
+  if (!session.fault_plan.events.empty()) {
+    result.fault_injected = true;
+    const sim::SimTime phase_start = system.engine().now();
+    bool all_recovered = true;
+    for (const FaultEvent& event : session.fault_plan.events) {
+      system.run_until(phase_start + event.at);
+      const sim::SimTime fault_at = system.engine().now();
+      const std::uint64_t events_at_fault = system.engine().events_executed();
+      const std::int64_t violations_at_event = safety.violation_count();
+      const sim::ChaosStats chaos_at_event = system.engine().chaos_stats();
+      TopologyFaultResult repair = session.apply_fault_event(event, fault_rng);
+      const sim::SimTime recovered_at =
+          system.run_until_stabilized(fault_at + spec.recovery_deadline);
+      FaultEventResult record;
+      record.at = fault_at;
+      record.kind = to_string(event.kind);
+      record.links_changed = repair.links_changed;
+      record.nodes_changed = repair.nodes_changed;
+      record.detached = repair.detached;
+      record.reattached = repair.reattached;
+      record.attached_nodes = repair.attached_nodes;
+      record.parent_changes = repair.parent_changes;
+      record.stree_events = repair.stree_events;
+      record.stree_time = repair.stree_time;
+      record.repair_seed = repair.repair_seed;
+      record.recovered = recovered_at != sim::kTimeInfinity;
+      record.recovery_time =
+          record.recovered ? recovered_at - fault_at : 0;
+      record.recovery_events =
+          system.engine().events_executed() - events_at_fault;
+      if (event.kind == FaultKind::kChaosBurst) {
+        // What the adversary actually did inside [injection,
+        // re-stabilization] and whether it managed to break safety.
+        const sim::ChaosStats chaos_now = system.engine().chaos_stats();
+        record.chaos = true;
+        record.chaos_dropped = chaos_now.dropped - chaos_at_event.dropped;
+        record.chaos_duplicated =
+            chaos_now.duplicated - chaos_at_event.duplicated;
+        record.chaos_reordered =
+            chaos_now.reordered - chaos_at_event.reordered;
+        record.chaos_jittered = chaos_now.jittered - chaos_at_event.jittered;
+        record.violations = safety.violation_count() - violations_at_event;
+      }
+      all_recovered = all_recovered && record.recovered;
+      result.recovery_time += record.recovery_time;
+      result.recovery_events += record.recovery_events;
+      result.fault_events.push_back(std::move(record));
+    }
+    result.recovered = all_recovered;
+    result.recovery_wall_seconds = seconds_since(recovery_start);
+  } else if (session.planned_fault != FaultKind::kNone) {
+    result.fault_injected = true;
+    sim::SimTime fault_at = system.engine().now();
+    std::uint64_t events_at_fault = system.engine().events_executed();
+    if (fleet != nullptr) {
+      // Tenant 0 alone; the other tenants keep circulating.
+      fleet->inject_transient_fault_tenant(0, fault_rng,
+                                           session.fault_garbage);
+      if (fleet->tenant_params(0).features.epoch_cut) {
+        fleet->epoch_cut_recover_tenant(0);  // no-op if the fault missed
+      }
+      driver.resync();
+    } else {
+      extras.drained = session.apply_planned_fault(fault_rng);
+    }
+    sim::SimTime recovered =
+        system.run_until_stabilized(fault_at + spec.recovery_deadline);
+    result.recovered = recovered != sim::kTimeInfinity;
+    // Elapsed since the fault, so runs with different warmups/horizons
+    // stay comparable.
+    result.recovery_time = result.recovered ? recovered - fault_at : 0;
+    result.recovery_events =
+        system.engine().events_executed() - events_at_fault;
+    result.recovery_wall_seconds = seconds_since(recovery_start);
+  }
+
+  if (fleet != nullptr) {
+    // Per-tenant end state: the isolation observables the artifact pins.
+    for (TenantResult& cell : result.tenants) {
+      cell.events_executed = fleet->tenant_events_executed(cell.tenant);
+      cell.recovery_events = fleet->tenant_recovery_events(cell.tenant);
+      cell.correct_at_end = fleet->tenant_correct(cell.tenant);
+    }
+  }
+
+  // Continuous-monitoring totals: a final watchdog sweep catches stalls
+  // younger than the last delivery heartbeat, then the whole-run
+  // violation/stall totals are read off the monitor.
+  if (spec.stall_threshold > 0) safety.check_stalls(system.engine().now());
+  result.safety_violations = safety.violation_count();
+  result.last_violation_time = safety.last_violation_time();
+  result.liveness_stalls = safety.stall_count();
+  result.fault_phase_violations =
+      safety.violation_count() - violations_at_measure_end;
+
+  result.engine_stats = system.engine().stats();
+  result.wall_seconds = seconds_since(wall_start);
+  if (result.wall_seconds > 0.0) {
+    result.events_per_sec =
+        static_cast<double>(result.engine_stats.events_executed) /
+        result.wall_seconds;
+  }
+  return extras;
+}
+
+/// The batching baseline: the point's R tenants as R standalone serial
+/// systems seeded point.seed .. point.seed + R - 1 -- exactly the twins
+/// the shared run's tenants replay (tests/integration/
+/// fleet_differential_test.cpp) -- each run through the same phase
+/// sequence, sequentially on this worker, and summed. Only system 0
+/// takes the fault (the shared run's tenant 0 draws the same rng in the
+/// same order, so the two modes recover through identical trajectories).
+/// Wait stats and class slices are per-system distributions and are not
+/// merged (the shared run carries them for the cell). The wall clock
+/// spans the whole batch, so events_per_sec is the rate bench_fleet
+/// compares the shared engine against.
+void run_separate(const ScenarioSpec& spec, const RunPoint& point,
+                  RunResult& total) {
+  std::vector<RunPoint> points(static_cast<std::size_t>(point.fleet), point);
+  std::vector<Session> sessions;
+  sessions.reserve(points.size());
+  for (std::size_t t = 0; t < points.size(); ++t) {
+    points[t].fleet = 1;
+    points[t].threads = 1;
+    points[t].seed = point.seed + t;
+    sessions.push_back(builder_for(spec, points[t]).build_session());
+    if (t > 0) sessions.back().planned_fault = FaultKind::kNone;
+  }
+
+  auto wall_start = std::chrono::steady_clock::now();
+  support::Histogram latency;
+  total.tenants.resize(points.size());
+  total.stabilized = true;
+  total.quiescent_at_end = true;
+  for (std::size_t t = 0; t < points.size(); ++t) {
+    RunResult part;
+    PhaseExtras extras = run_phases(spec, points[t], sessions[t], part);
+    latency.merge(extras.latency);
+
+    total.n += part.n;
+    total.stabilized = total.stabilized && part.stabilized;
+    total.stabilization_time =
+        std::max(total.stabilization_time, part.stabilization_time);
+    total.requests += part.requests;
+    total.grants += part.grants;
+    total.outstanding_at_end += part.outstanding_at_end;
+    total.quiescent_at_end = total.quiescent_at_end && part.quiescent_at_end;
+    total.control_messages += part.control_messages;
+    total.resource_messages += part.resource_messages;
+    total.pusher_messages += part.pusher_messages;
+    total.priority_messages += part.priority_messages;
+    total.events_executed += part.events_executed;
+    total.safety_ok = total.safety_ok && part.safety_ok;
+    total.safety_violations += part.safety_violations;
+    total.last_violation_time =
+        std::max(total.last_violation_time, part.last_violation_time);
+    total.liveness_stalls += part.liveness_stalls;
+    total.fault_phase_violations += part.fault_phase_violations;
+    total.engine_stats.merge(part.engine_stats);
+    if (part.fault_injected) {
+      total.fault_injected = true;
+      total.recovered = part.recovered;
+      total.recovery_time = part.recovery_time;
+      total.recovery_events = part.recovery_events;
+      total.recovery_wall_seconds = part.recovery_wall_seconds;
+    }
+
+    TenantResult& cell = total.tenants[t];
+    cell.tenant = static_cast<int>(t);
+    cell.n = part.n;
+    cell.stabilized = part.stabilized;
+    cell.stabilization_time = part.stabilized ? part.stabilization_time : 0;
+    cell.requests = part.requests;
+    cell.grants = part.grants;
+    cell.events_executed = part.engine_stats.events_executed;
+    cell.recovery_events = extras.drained ? 1 : 0;
+    cell.correct_at_end = sessions[t].system->token_counts_correct();
+  }
+  fill_latency(total, latency);
+  // Per-system windows all have length `horizon`, so the batch rate uses
+  // the same denominator as the shared run's single window.
+  total.grants_per_mtick = static_cast<double>(total.grants) * 1e6 /
+                           static_cast<double>(spec.horizon);
+  set_messages_per_grant(total);
+  total.wall_seconds = seconds_since(wall_start);
+  if (total.wall_seconds > 0.0) {
+    total.events_per_sec =
+        static_cast<double>(total.engine_stats.events_executed) /
+        total.wall_seconds;
+  }
 }
 
 }  // namespace
@@ -129,713 +548,19 @@ std::vector<RunPoint> ExperimentRunner::expand(const ScenarioSpec& spec) {
   return points;
 }
 
+
 RunResult ExperimentRunner::run_point(const ScenarioSpec& spec,
                                       const RunPoint& point) {
-  if (point.fleet > 1) {
-    return point.fleet_separate ? run_fleet_separate(spec, point)
-                                : run_fleet_shared(spec, point);
-  }
-  RunResult result;
-  result.topology = point.topology.name();
-  result.features = point.features.name();
-  result.k = point.k;
-  result.l = point.l;
-  result.fault_garbage = point.fault_garbage;
-  result.threads = point.threads;
-  result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
-
-  // Every grid point is one declarative construction: topology × params
-  // × workload × fault plan through the one SystemBuilder path.
-  SystemBuilder builder;
-  builder.topology(point.topology)
-      .kl(point.k, point.l)
-      .features(point.features)
-      .cmax(spec.cmax)
-      .delays(spec.delays)
-      .seed(point.seed)
-      .seed_tokens(spec.seed_tokens)
-      .spread_tokens(spec.spread_tokens)
-      .beacon_period(spec.beacon_period)
-      .spanning_tree_deadline(spec.spanning_tree_deadline)
-      .threads(point.threads)
-      .workload(spec.workload)
-      .fault(spec.fault)
-      .fault_garbage(point.fault_garbage)
-      .fault_plan(spec.fault_plan)
-      .chaos(chaos_of(spec, variant));
-  if (variant != nullptr) {
-    builder.retry_policy(variant->retry).admission_policy(variant->admission);
-  }
-  Session session = builder.build_session();
-  SystemBase& system = *session.system;
-  result.n = system.n();
-
-  // The wall clock starts after construction so events_per_sec measures
-  // the exclusion engine only (GraphSystem's constructor simulates a
-  // whole spanning-tree engine that is invisible to engine().stats()).
-  auto wall_start = std::chrono::steady_clock::now();
-
-  stats::WaitingTimeTracker waits(result.n);
-  verify::SafetyMonitor safety(result.n, point.k, point.l);
-  system.add_listener(&waits);
-  system.add_listener(&safety);
-  if (spec.stall_threshold > 0) {
-    // Continuous liveness watchdog: the monitor rides the engine as an
-    // observer so stalls are timestamped as they happen. The monitor is
-    // window-safe (lane-local buffers merged at the barrier), so this
-    // no longer forces the parallel engine into merged-serial.
-    safety.set_stall_threshold(spec.stall_threshold);
-    safety.watch(system.engine());
-  }
-  // Message-overhead accounting reads the engine's inline per-type send
-  // counters (window deltas) instead of attaching a per-send observer, so
-  // the measured window runs with an empty observer list.
-  auto sent_of = [&system](proto::TokenType type) {
-    return system.engine().sent_of_type(static_cast<std::int32_t>(type));
-  };
-
-  // Phase 1: stabilize, then settle through the warmup window. The
-  // legitimacy predicate is rung-aware, so reduced rungs (seeded token
-  // population, no controller) stabilize at t ~ 0.
-  sim::SimTime stabilized = system.run_until_stabilized(
-      spec.stabilize_deadline);
-  result.stabilized = stabilized != sim::kTimeInfinity;
-  result.stabilization_time = stabilized;
-  system.run_until(system.engine().now() + spec.warmup);
-
-  // Phase 2: closed-loop workload over the measurement window.
-  WorkloadDriver& driver = *session.driver;
-  session.begin_workload();
-
-  waits.reset_samples();
-  const std::uint64_t resource_before = sent_of(proto::TokenType::kResource);
-  const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-  const std::uint64_t priority_before = sent_of(proto::TokenType::kPriority);
-  const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
-  sim::SimTime window_start = system.engine().now();
-  std::uint64_t events_before = system.engine().events_executed();
-  system.run_until(window_start + spec.horizon);
-
-  result.grants = driver.total_grants();
-  result.requests = driver.total_requests();
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
-  result.outstanding_at_end = driver.outstanding();
-  result.quiescent_at_end =
-      system.engine().next_event_time() == sim::kTimeInfinity;
-  if (!spec.workload.classes.empty()) {
-    // Per-class slices, in class order plus a trailing "base" cell when
-    // any node fell through to the base behavior.
-    result.classes.resize(spec.workload.classes.size());
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      result.classes[c].name = spec.workload.classes[c].name;
-    }
-    ClassResult base_cell;
-    base_cell.name = "base";
-    // Class latency histograms, parallel to the cells (last = base).
-    std::vector<support::Histogram> class_latency(
-        spec.workload.classes.size() + 1);
-    for (proto::NodeId node = 0; node < result.n; ++node) {
-      int cls = session.workload.class_index[static_cast<std::size_t>(node)];
-      std::size_t slot = cls >= 0 ? static_cast<std::size_t>(cls)
-                                  : spec.workload.classes.size();
-      ClassResult& cell =
-          cls >= 0 ? result.classes[static_cast<std::size_t>(cls)]
-                   : base_cell;
-      ++cell.nodes;
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-      class_latency[slot].merge(driver.grant_latency(node));
-      if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
-    }
-    auto fill_latency = [](ClassResult& cell,
-                           const support::Histogram& latency) {
-      if (latency.count() == 0) return;
-      cell.latency_count = static_cast<std::int64_t>(latency.count());
-      cell.latency_p50 = latency.quantile(0.5);
-      cell.latency_p99 = latency.quantile(0.99);
-      cell.latency_p999 = latency.quantile(0.999);
-    };
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      fill_latency(result.classes[c], class_latency[c]);
-    }
-    fill_latency(base_cell, class_latency.back());
-    if (base_cell.nodes > 0) result.classes.push_back(std::move(base_cell));
-  }
-  collect_latency(driver, result.n, result);
-  if (waits.waits().count() > 0) {
-    result.mean_wait_entries = waits.waits().mean();
-    result.max_wait_entries = waits.waits().max();
-    result.p99_wait_entries = waits.waits().p99();
-  }
-  result.control_messages = sent_of(proto::TokenType::kControl) -
-                            control_before;
-  result.resource_messages = sent_of(proto::TokenType::kResource) -
-                             resource_before;
-  result.pusher_messages = sent_of(proto::TokenType::kPusher) -
-                           pusher_before;
-  result.priority_messages = sent_of(proto::TokenType::kPriority) -
-                             priority_before;
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
-  }
-  // Snapshotted before any fault injection: self-stabilization only
-  // guarantees eventual safety, so transient violations while
-  // re-stabilizing are expected and must not read as regressions; the
-  // event count likewise covers the measurement window alone.
-  result.safety_ok = !safety.any_violation();
-  result.events_executed = system.engine().events_executed() - events_before;
-  const std::int64_t violations_at_measure_end = safety.violation_count();
-
-  // Phase 3 (optional): fault + recovery. A staged plan generalizes the
-  // single post-measurement fault: the engine advances to each event's
-  // scheduled time (relative to the end of the measurement window),
-  // applies it, re-stabilizes, and records the materialized incident.
-  if (!spec.fault_plan.events.empty()) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    const sim::SimTime phase_start = system.engine().now();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    bool all_recovered = true;
-    for (const FaultEvent& event : spec.fault_plan.events) {
-      system.run_until(phase_start + event.at);
-      const sim::SimTime fault_at = system.engine().now();
-      const std::uint64_t events_at_fault = system.engine().events_executed();
-      const std::int64_t violations_at_event = safety.violation_count();
-      const sim::ChaosStats chaos_at_event = system.engine().chaos_stats();
-      TopologyFaultResult repair = session.apply_fault_event(event, fault_rng);
-      const sim::SimTime recovered_at =
-          system.run_until_stabilized(fault_at + spec.recovery_deadline);
-      FaultEventResult record;
-      record.at = fault_at;
-      record.kind = to_string(event.kind);
-      record.links_changed = repair.links_changed;
-      record.nodes_changed = repair.nodes_changed;
-      record.detached = repair.detached;
-      record.reattached = repair.reattached;
-      record.attached_nodes = repair.attached_nodes;
-      record.parent_changes = repair.parent_changes;
-      record.stree_events = repair.stree_events;
-      record.stree_time = repair.stree_time;
-      record.repair_seed = repair.repair_seed;
-      record.recovered = recovered_at != sim::kTimeInfinity;
-      record.recovery_time =
-          record.recovered ? recovered_at - fault_at : 0;
-      record.recovery_events =
-          system.engine().events_executed() - events_at_fault;
-      if (event.kind == FaultKind::kChaosBurst) {
-        // What the adversary actually did inside [injection,
-        // re-stabilization] and whether it managed to break safety.
-        const sim::ChaosStats chaos_now = system.engine().chaos_stats();
-        record.chaos = true;
-        record.chaos_dropped = chaos_now.dropped - chaos_at_event.dropped;
-        record.chaos_duplicated =
-            chaos_now.duplicated - chaos_at_event.duplicated;
-        record.chaos_reordered =
-            chaos_now.reordered - chaos_at_event.reordered;
-        record.chaos_jittered = chaos_now.jittered - chaos_at_event.jittered;
-        record.violations = safety.violation_count() - violations_at_event;
-      }
-      all_recovered = all_recovered && record.recovered;
-      result.recovery_time += record.recovery_time;
-      result.recovery_events += record.recovery_events;
-      result.fault_events.push_back(std::move(record));
-    }
-    result.recovered = all_recovered;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  } else if (spec.fault != ScenarioSpec::FaultKind::kNone) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    session.apply_planned_fault(fault_rng);
-    sim::SimTime recovered = system.run_until_stabilized(
-        fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    // Elapsed since the fault, so runs with different warmups/horizons
-    // stay comparable.
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  }
-
-  // Continuous-monitoring totals: a final watchdog sweep catches stalls
-  // younger than the last delivery heartbeat, then the whole-run
-  // violation/stall totals are read off the monitor.
-  if (spec.stall_threshold > 0) safety.check_stalls(system.engine().now());
-  result.safety_violations = safety.violation_count();
-  result.last_violation_time = safety.last_violation_time();
-  result.liveness_stalls = safety.stall_count();
-  result.fault_phase_violations =
-      safety.violation_count() - violations_at_measure_end;
-
-  result.engine_stats = system.engine().stats();
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.engine_stats.events_executed) /
-        result.wall_seconds;
+  if (point.fleet > 1) require_fleet_fault_supported(spec);
+  RunResult result = identity_of(spec, point);
+  if (point.fleet > 1 && point.fleet_separate) {
+    run_separate(spec, point, result);
+  } else {
+    Session session = builder_for(spec, point).build_session();
+    run_phases(spec, point, session, result);
   }
   return result;
 }
-
-namespace {
-
-// Fleet grid points support the single post-measurement transient fault
-// only (targeted at tenant 0). Staged fault plans imply live-topology
-// graph systems; fleets are tree-tenant only.
-void require_fleet_fault_supported(const ScenarioSpec& spec) {
-  KLEX_REQUIRE(spec.fault_plan.events.empty(),
-               "fleet grid points do not support staged fault plans");
-  KLEX_REQUIRE(spec.fault == ScenarioSpec::FaultKind::kNone ||
-                   spec.fault == ScenarioSpec::FaultKind::kTransient,
-               "fleet grid points support only none/transient faults");
-}
-
-// One FleetSystem: `point.fleet` copies of the grid point's topology on
-// one shared engine, tenant t seeded point.seed + t. Mirrors run_point's
-// phases; the fault phase corrupts tenant 0 alone so the per-tenant
-// slices exhibit fault isolation (every other tenant's recovery_events
-// stays 0 and its census stays correct throughout).
-RunResult run_fleet_shared(const ScenarioSpec& spec, const RunPoint& point) {
-  require_fleet_fault_supported(spec);
-  RunResult result;
-  result.topology = point.topology.name();
-  result.features = point.features.name();
-  result.k = point.k;
-  result.l = point.l;
-  result.fault_garbage = point.fault_garbage;
-  result.threads = point.threads;
-  result.fleet = point.fleet;
-  result.fleet_mode = "shared";
-  result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
-
-  // The fault phase is applied by hand below (tenant-scoped), so the
-  // builder carries no fault of its own.
-  SystemBuilder builder;
-  builder.topology(point.topology)
-      .kl(point.k, point.l)
-      .features(point.features)
-      .cmax(spec.cmax)
-      .delays(spec.delays)
-      .seed(point.seed)
-      .seed_tokens(spec.seed_tokens)
-      .spread_tokens(spec.spread_tokens)
-      .threads(point.threads)
-      .fleet(point.fleet)
-      .workload(spec.workload)
-      .chaos(chaos_of(spec, variant));
-  if (variant != nullptr) {
-    builder.retry_policy(variant->retry).admission_policy(variant->admission);
-  }
-  Session session = builder.build_session();
-  auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
-  KLEX_CHECK(fleet != nullptr, "fleet(R > 1) must build a FleetSystem");
-  SystemBase& system = *session.system;
-  result.n = system.n();
-
-  auto wall_start = std::chrono::steady_clock::now();
-
-  stats::WaitingTimeTracker waits(result.n);
-  // Fleet-wide bounds: k is the max per-node need, l the sum of the
-  // tenants' populations (SystemBase accessors aggregate for fleets).
-  verify::SafetyMonitor safety(result.n, system.k(), system.l());
-  system.add_listener(&waits);
-  system.add_listener(&safety);
-  if (spec.stall_threshold > 0) {
-    safety.set_stall_threshold(spec.stall_threshold);
-    safety.watch(system.engine());
-  }
-  auto sent_of = [&system](proto::TokenType type) {
-    return system.engine().sent_of_type(static_cast<std::int32_t>(type));
-  };
-
-  // Phase 1: every tenant stabilizes (the fleet predicate is the AND of
-  // the per-tenant O(1) predicates), then the warmup window.
-  sim::SimTime stabilized =
-      system.run_until_stabilized(spec.stabilize_deadline);
-  result.stabilized = stabilized != sim::kTimeInfinity;
-  result.stabilization_time = stabilized;
-  system.run_until(system.engine().now() + spec.warmup);
-
-  // Phase 2: closed-loop workload, one driver spanning every tenant.
-  WorkloadDriver& driver = *session.driver;
-  session.begin_workload();
-
-  waits.reset_samples();
-  const std::uint64_t resource_before = sent_of(proto::TokenType::kResource);
-  const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-  const std::uint64_t priority_before = sent_of(proto::TokenType::kPriority);
-  const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
-  sim::SimTime window_start = system.engine().now();
-  std::uint64_t events_before = system.engine().events_executed();
-  system.run_until(window_start + spec.horizon);
-
-  result.grants = driver.total_grants();
-  result.requests = driver.total_requests();
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
-  result.outstanding_at_end = driver.outstanding();
-  result.quiescent_at_end =
-      system.engine().next_event_time() == sim::kTimeInfinity;
-  if (!spec.workload.classes.empty()) {
-    result.classes.resize(spec.workload.classes.size());
-    for (std::size_t c = 0; c < spec.workload.classes.size(); ++c) {
-      result.classes[c].name = spec.workload.classes[c].name;
-    }
-    ClassResult base_cell;
-    base_cell.name = "base";
-    for (proto::NodeId node = 0; node < result.n; ++node) {
-      int cls = session.workload.class_index[static_cast<std::size_t>(node)];
-      ClassResult& cell =
-          cls >= 0 ? result.classes[static_cast<std::size_t>(cls)]
-                   : base_cell;
-      ++cell.nodes;
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-      if (system.state_of(node) == proto::AppState::kIn) ++cell.holding_at_end;
-    }
-    if (base_cell.nodes > 0) result.classes.push_back(std::move(base_cell));
-  }
-  collect_latency(driver, result.n, result);
-  if (waits.waits().count() > 0) {
-    result.mean_wait_entries = waits.waits().mean();
-    result.max_wait_entries = waits.waits().max();
-    result.p99_wait_entries = waits.waits().p99();
-  }
-  result.control_messages = sent_of(proto::TokenType::kControl) -
-                            control_before;
-  result.resource_messages = sent_of(proto::TokenType::kResource) -
-                             resource_before;
-  result.pusher_messages = sent_of(proto::TokenType::kPusher) -
-                           pusher_before;
-  result.priority_messages = sent_of(proto::TokenType::kPriority) -
-                             priority_before;
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
-  }
-  result.safety_ok = !safety.any_violation();
-  result.events_executed = system.engine().events_executed() - events_before;
-  const std::int64_t violations_at_measure_end = safety.violation_count();
-
-  // Per-tenant slices of the workload window (the per-node driver
-  // counters are cumulative, so they are read before the fault phase
-  // accrues more grants).
-  result.tenants.resize(static_cast<std::size_t>(point.fleet));
-  for (int t = 0; t < fleet->tenant_count(); ++t) {
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.tenant = t;
-    cell.n = fleet->tenant_n(t);
-    sim::SimTime since = fleet->tenant_stabilized_at(t);
-    cell.stabilized = since != sim::kTimeInfinity;
-    cell.stabilization_time = cell.stabilized ? since : 0;
-    for (proto::NodeId local = 0; local < fleet->tenant_n(t); ++local) {
-      proto::NodeId node = fleet->global_id(t, local);
-      cell.requests += driver.requests_issued(node);
-      cell.grants += driver.grants(node);
-    }
-  }
-
-  // Phase 3 (optional): transient fault into tenant 0 alone. Same rng
-  // formula as run_point; the other R-1 tenants keep circulating.
-  if (spec.fault == ScenarioSpec::FaultKind::kTransient) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    fleet->inject_transient_fault_tenant(0, fault_rng, point.fault_garbage);
-    if (fleet->tenant_params(0).features.epoch_cut) {
-      fleet->epoch_cut_recover_tenant(0);  // no-op if the fault missed
-    }
-    driver.resync();
-    sim::SimTime recovered =
-        system.run_until_stabilized(fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  }
-
-  // Per-tenant end state: the isolation observables the artifact pins.
-  for (int t = 0; t < fleet->tenant_count(); ++t) {
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.events_executed = fleet->tenant_events_executed(t);
-    cell.recovery_events = fleet->tenant_recovery_events(t);
-    cell.correct_at_end = fleet->tenant_correct(t);
-  }
-
-  if (spec.stall_threshold > 0) safety.check_stalls(system.engine().now());
-  result.safety_violations = safety.violation_count();
-  result.last_violation_time = safety.last_violation_time();
-  result.liveness_stalls = safety.stall_count();
-  result.fault_phase_violations =
-      safety.violation_count() - violations_at_measure_end;
-
-  result.engine_stats = system.engine().stats();
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.engine_stats.events_executed) /
-        result.wall_seconds;
-  }
-  return result;
-}
-
-// The batching baseline: the same `point.fleet` tenants as that many
-// standalone serial systems -- seeds point.seed .. point.seed + R - 1,
-// exactly the twins the shared run's tenants replay
-// (tests/integration/fleet_differential_test.cpp) -- executed
-// sequentially on this worker. The batch pays R engine boots, R
-// calendars and R clocks; the wall clock spans the whole batch, so
-// events_per_sec is the rate bench_fleet compares the shared engine
-// against. Wait stats and class slices are not collected here (the
-// shared run carries them for the cell).
-RunResult run_fleet_separate(const ScenarioSpec& spec,
-                             const RunPoint& point) {
-  require_fleet_fault_supported(spec);
-  RunResult result;
-  result.topology = point.topology.name();
-  result.features = point.features.name();
-  result.k = point.k;
-  result.l = point.l;
-  result.fault_garbage = point.fault_garbage;
-  result.threads = point.threads;  // cell-key symmetry with the shared run
-  result.fleet = point.fleet;
-  result.fleet_mode = "separate";
-  result.seed = point.seed;
-  const ScenarioSpec::PolicyVariant* variant = variant_of(spec, point);
-  if (variant != nullptr) result.policy = variant->label;
-
-  std::vector<Session> sessions;
-  sessions.reserve(static_cast<std::size_t>(point.fleet));
-  for (int t = 0; t < point.fleet; ++t) {
-    SystemBuilder builder;
-    builder.topology(point.topology)
-        .kl(point.k, point.l)
-        .features(point.features)
-        .cmax(spec.cmax)
-        .delays(spec.delays)
-        .seed(point.seed + static_cast<std::uint64_t>(t))
-        .seed_tokens(spec.seed_tokens)
-        .spread_tokens(spec.spread_tokens)
-        .workload(spec.workload)
-        .chaos(chaos_of(spec, variant));
-    if (variant != nullptr) {
-      builder.retry_policy(variant->retry)
-          .admission_policy(variant->admission);
-    }
-    sessions.push_back(builder.build_session());
-    result.n += sessions.back().system->n();
-  }
-
-  auto wall_start = std::chrono::steady_clock::now();
-
-  result.tenants.resize(static_cast<std::size_t>(point.fleet));
-  std::vector<std::unique_ptr<verify::SafetyMonitor>> safety;
-  safety.reserve(static_cast<std::size_t>(point.fleet));
-  result.stabilized = true;
-  result.quiescent_at_end = true;
-
-  for (int t = 0; t < point.fleet; ++t) {
-    Session& session = sessions[static_cast<std::size_t>(t)];
-    SystemBase& system = *session.system;
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.tenant = t;
-    cell.n = system.n();
-    safety.push_back(std::make_unique<verify::SafetyMonitor>(
-        cell.n, system.k(), system.l()));
-    system.add_listener(safety.back().get());
-    if (spec.stall_threshold > 0) {
-      safety.back()->set_stall_threshold(spec.stall_threshold);
-      safety.back()->watch(system.engine());
-    }
-    auto sent_of = [&system](proto::TokenType type) {
-      return system.engine().sent_of_type(static_cast<std::int32_t>(type));
-    };
-
-    sim::SimTime stabilized =
-        system.run_until_stabilized(spec.stabilize_deadline);
-    cell.stabilized = stabilized != sim::kTimeInfinity;
-    cell.stabilization_time = cell.stabilized ? stabilized : 0;
-    result.stabilized = result.stabilized && cell.stabilized;
-    result.stabilization_time =
-        std::max(result.stabilization_time, stabilized);
-    system.run_until(system.engine().now() + spec.warmup);
-
-    WorkloadDriver& driver = *session.driver;
-    session.begin_workload();
-    const std::uint64_t resource_before =
-        sent_of(proto::TokenType::kResource);
-    const std::uint64_t pusher_before = sent_of(proto::TokenType::kPusher);
-    const std::uint64_t priority_before =
-        sent_of(proto::TokenType::kPriority);
-    const std::uint64_t control_before = sent_of(proto::TokenType::kControl);
-    sim::SimTime window_start = system.engine().now();
-    std::uint64_t events_before = system.engine().events_executed();
-    system.run_until(window_start + spec.horizon);
-
-    cell.requests = driver.total_requests();
-    cell.grants = driver.total_grants();
-    result.requests += cell.requests;
-    result.grants += cell.grants;
-    result.outstanding_at_end += driver.outstanding();
-    result.quiescent_at_end =
-        result.quiescent_at_end &&
-        system.engine().next_event_time() == sim::kTimeInfinity;
-    result.control_messages +=
-        sent_of(proto::TokenType::kControl) - control_before;
-    result.resource_messages +=
-        sent_of(proto::TokenType::kResource) - resource_before;
-    result.pusher_messages +=
-        sent_of(proto::TokenType::kPusher) - pusher_before;
-    result.priority_messages +=
-        sent_of(proto::TokenType::kPriority) - priority_before;
-    result.events_executed +=
-        system.engine().events_executed() - events_before;
-    result.safety_ok = result.safety_ok && !safety.back()->any_violation();
-  }
-  // Batch-wide grant latency across the R drivers (per-tenant windows
-  // are disjoint runs, so the merged distribution is the batch's).
-  {
-    support::Histogram latency;
-    for (Session& session : sessions) {
-      for (proto::NodeId node = 0; node < session.system->n(); ++node) {
-        latency.merge(session.driver->grant_latency(node));
-      }
-    }
-    if (latency.count() > 0) {
-      result.latency_count = static_cast<std::int64_t>(latency.count());
-      result.latency_p50 = latency.quantile(0.5);
-      result.latency_p99 = latency.quantile(0.99);
-      result.latency_p999 = latency.quantile(0.999);
-    }
-  }
-  // Per-tenant windows all have length `horizon`, so the batch rate uses
-  // the same denominator as the shared run's single window.
-  result.grants_per_mtick = static_cast<double>(result.grants) * 1e6 /
-                            static_cast<double>(spec.horizon);
-  if (result.grants > 0) {
-    result.messages_per_grant =
-        static_cast<double>(result.control_messages +
-                            result.resource_messages +
-                            result.pusher_messages +
-                            result.priority_messages) /
-        static_cast<double>(result.grants);
-  }
-
-  // Phase 3 (optional): fault into system 0 only -- the same rng seed and
-  // draw order as the shared run's tenant-0 fault, so the two modes of a
-  // cell recover through identical trajectories.
-  if (spec.fault == ScenarioSpec::FaultKind::kTransient) {
-    result.fault_injected = true;
-    auto recovery_start = std::chrono::steady_clock::now();
-    Session& session = sessions.front();
-    SystemBase& system = *session.system;
-    sim::SimTime fault_at = system.engine().now();
-    std::uint64_t events_at_fault = system.engine().events_executed();
-    support::Rng fault_rng(point.seed ^ 0xFA17ull);
-    system.inject_transient_fault(fault_rng, point.fault_garbage);
-    std::int64_t drains = 0;
-    if (point.features.epoch_cut && system.epoch_cut_recover()) drains = 1;
-    session.driver->resync();
-    sim::SimTime recovered =
-        system.run_until_stabilized(fault_at + spec.recovery_deadline);
-    result.recovered = recovered != sim::kTimeInfinity;
-    result.recovery_time = result.recovered ? recovered - fault_at : 0;
-    result.recovery_events =
-        system.engine().events_executed() - events_at_fault;
-    result.tenants.front().recovery_events = drains;
-    result.recovery_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      recovery_start)
-            .count();
-  }
-
-  // Per-system end state + batch engine stats (sums across the R
-  // engines; the calendar window is a configuration, so it reports max).
-  for (int t = 0; t < point.fleet; ++t) {
-    SystemBase& system = *sessions[static_cast<std::size_t>(t)].system;
-    TenantResult& cell = result.tenants[static_cast<std::size_t>(t)];
-    cell.events_executed = system.engine().events_executed();
-    cell.correct_at_end = system.token_counts_correct();
-    verify::SafetyMonitor& monitor = *safety[static_cast<std::size_t>(t)];
-    if (spec.stall_threshold > 0) {
-      monitor.check_stalls(system.engine().now());
-    }
-    result.safety_violations += monitor.violation_count();
-    result.last_violation_time =
-        std::max(result.last_violation_time, monitor.last_violation_time());
-    result.liveness_stalls += monitor.stall_count();
-    const sim::EngineStats stats = system.engine().stats();
-    result.engine_stats.events_executed += stats.events_executed;
-    result.engine_stats.messages_sent += stats.messages_sent;
-    result.engine_stats.messages_delivered += stats.messages_delivered;
-    result.engine_stats.callbacks_scheduled += stats.callbacks_scheduled;
-    result.engine_stats.callback_slots_created +=
-        stats.callback_slots_created;
-    result.engine_stats.max_heap_size += stats.max_heap_size;
-    result.engine_stats.in_flight_walks += stats.in_flight_walks;
-    result.engine_stats.chaos_dropped += stats.chaos_dropped;
-    result.engine_stats.chaos_duplicated += stats.chaos_duplicated;
-    result.engine_stats.chaos_reordered += stats.chaos_reordered;
-    result.engine_stats.chaos_jittered += stats.chaos_jittered;
-    result.engine_stats.bucket_window =
-        std::max(result.engine_stats.bucket_window, stats.bucket_window);
-    result.engine_stats.scheduler.bucket_inserts +=
-        stats.scheduler.bucket_inserts;
-    result.engine_stats.scheduler.bucket_scans +=
-        stats.scheduler.bucket_scans;
-    result.engine_stats.scheduler.overflow_pushes +=
-        stats.scheduler.overflow_pushes;
-    result.engine_stats.scheduler.overflow_pops +=
-        stats.scheduler.overflow_pops;
-  }
-
-  auto wall_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (result.wall_seconds > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.engine_stats.events_executed) /
-        result.wall_seconds;
-  }
-  return result;
-}
-
-}  // namespace
 
 std::vector<RunResult> ExperimentRunner::run(const ScenarioSpec& spec) const {
   std::vector<RunPoint> points = expand(spec);

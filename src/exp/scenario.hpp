@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,12 +145,5 @@ struct ScenarioSpec {
   int seeds = 4;
   std::uint64_t base_seed = 1;
 };
-
-/// Materializes one grid point as a runnable system, via SystemBuilder.
-std::unique_ptr<SystemBase> make_system(const TopologySpec& topology, int k,
-                                        int l,
-                                        const proto::Features& features,
-                                        int cmax, sim::DelayModel delays,
-                                        std::uint64_t seed);
 
 }  // namespace klex::exp

@@ -51,6 +51,7 @@
 // bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -238,6 +239,28 @@ struct EngineStats {
   /// gated invariant: overflow_pushes growing toward bucket_inserts means
   /// the heap fallback became the hot path again.
   SchedulerCounters scheduler{};
+
+  /// Adds another engine's counters into these (a batch of separate
+  /// engines reports one total). The calendar window is a configuration,
+  /// not a count, so it keeps the max.
+  void merge(const EngineStats& other) {
+    events_executed += other.events_executed;
+    messages_sent += other.messages_sent;
+    messages_delivered += other.messages_delivered;
+    callbacks_scheduled += other.callbacks_scheduled;
+    callback_slots_created += other.callback_slots_created;
+    max_heap_size += other.max_heap_size;
+    in_flight_walks += other.in_flight_walks;
+    bucket_window = std::max(bucket_window, other.bucket_window);
+    chaos_dropped += other.chaos_dropped;
+    chaos_duplicated += other.chaos_duplicated;
+    chaos_reordered += other.chaos_reordered;
+    chaos_jittered += other.chaos_jittered;
+    scheduler.bucket_inserts += other.scheduler.bucket_inserts;
+    scheduler.bucket_scans += other.scheduler.bucket_scans;
+    scheduler.overflow_pushes += other.scheduler.overflow_pushes;
+    scheduler.overflow_pops += other.scheduler.overflow_pops;
+  }
 };
 
 class Engine {

@@ -134,6 +134,101 @@ TEST(FleetGrid, SeparateBaselineReplaysTheSameTenants) {
   EXPECT_EQ(cells[1].fleet_mode, "separate");
 }
 
+TEST(FleetGrid, SharedRunClassSlicesCarryGrantLatency) {
+  // A shared fleet runs the same phase sequence as a plain point, so its
+  // class slices carry the per-class latency distribution too.
+  ScenarioSpec spec = fleet_scenario();
+  proto::BehaviorClass fast;
+  fast.name = "fast";
+  fast.count = 2;
+  fast.behavior.think = proto::Dist::exponential(16);
+  fast.behavior.cs_duration = proto::Dist::exponential(16);
+  proto::BehaviorClass slow = fast;
+  slow.name = "slow";
+  slow.behavior.think = proto::Dist::exponential(256);
+  spec.workload.classes = {fast, slow};
+  RunPoint point = ExperimentRunner::expand(spec)[0];
+  ASSERT_EQ(point.fleet, 3);
+  RunResult result = ExperimentRunner::run_point(spec, point);
+
+  ASSERT_GE(result.classes.size(), 2u);
+  std::int64_t sliced_samples = 0;
+  for (const ClassResult& cls : result.classes) {
+    sliced_samples += cls.latency_count;
+    if (cls.name == "base") continue;
+    EXPECT_GT(cls.grants, 0) << cls.name;
+    EXPECT_GT(cls.latency_count, 0) << cls.name;
+    EXPECT_LE(cls.latency_p50, cls.latency_p99) << cls.name;
+    EXPECT_LE(cls.latency_p99, cls.latency_p999) << cls.name;
+  }
+  // The class slices partition the run-level latency samples.
+  EXPECT_GT(result.latency_count, 0);
+  EXPECT_EQ(sliced_samples, result.latency_count);
+}
+
+TEST(FleetGrid, SeparateRunIsTheSumOfPlainRuns) {
+  // The composition law the separate-engines baseline rests on: an R = 3
+  // separate run equals, counter for counter, three plain runs seeded
+  // s, s+1, s+2.
+  ScenarioSpec spec = fleet_scenario();
+  spec.fleet_compare_separate = true;
+  std::vector<RunPoint> points = ExperimentRunner::expand(spec);
+  ASSERT_EQ(points.size(), 2u);
+  ASSERT_TRUE(points[1].fleet_separate);
+  RunResult separate = ExperimentRunner::run_point(spec, points[1]);
+
+  std::vector<RunResult> parts;
+  for (int t = 0; t < 3; ++t) {
+    RunPoint plain = points[1];
+    plain.fleet = 1;
+    plain.fleet_separate = false;
+    plain.seed = points[1].seed + static_cast<std::uint64_t>(t);
+    parts.push_back(ExperimentRunner::run_point(spec, plain));
+  }
+  auto sum_of = [&parts](auto get) {
+    decltype(get(parts[0])) total{};
+    for (const RunResult& part : parts) total += get(part);
+    return total;
+  };
+
+  EXPECT_GT(separate.grants, 0);
+  EXPECT_EQ(separate.grants,
+            sum_of([](const RunResult& r) { return r.grants; }));
+  EXPECT_EQ(separate.requests,
+            sum_of([](const RunResult& r) { return r.requests; }));
+  EXPECT_EQ(separate.events_executed,
+            sum_of([](const RunResult& r) { return r.events_executed; }));
+  EXPECT_EQ(separate.control_messages,
+            sum_of([](const RunResult& r) { return r.control_messages; }));
+  EXPECT_EQ(separate.resource_messages,
+            sum_of([](const RunResult& r) { return r.resource_messages; }));
+  EXPECT_EQ(separate.pusher_messages,
+            sum_of([](const RunResult& r) { return r.pusher_messages; }));
+  EXPECT_EQ(separate.priority_messages,
+            sum_of([](const RunResult& r) { return r.priority_messages; }));
+  for (auto field :
+       {&sim::EngineStats::events_executed, &sim::EngineStats::messages_sent,
+        &sim::EngineStats::messages_delivered,
+        &sim::EngineStats::callbacks_scheduled,
+        &sim::EngineStats::callback_slots_created,
+        &sim::EngineStats::max_heap_size,
+        &sim::EngineStats::in_flight_walks}) {
+    EXPECT_EQ(separate.engine_stats.*field,
+              sum_of([field](const RunResult& r) {
+                return r.engine_stats.*field;
+              }));
+  }
+  for (auto field : {&sim::SchedulerCounters::bucket_inserts,
+                     &sim::SchedulerCounters::bucket_scans,
+                     &sim::SchedulerCounters::overflow_pushes,
+                     &sim::SchedulerCounters::overflow_pops}) {
+    EXPECT_EQ(separate.engine_stats.scheduler.*field,
+              sum_of([field](const RunResult& r) {
+                return r.engine_stats.scheduler.*field;
+              }));
+  }
+}
+
 TEST(FleetGrid, JsonCarriesFleetAxisOnlyForFleetScenarios) {
   ScenarioSpec spec = fleet_scenario();
   spec.fleet_compare_separate = true;

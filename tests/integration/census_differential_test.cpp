@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/scenario.hpp"
+#include "api/builder.hpp"
 #include "proto/census.hpp"
 #include "api/workload_driver.hpp"
 #include "proto/workload.hpp"
@@ -31,7 +31,7 @@ void expect_census_equal(const proto::TokenCensus& tracked,
 
 struct DifferentialParam {
   const char* name;
-  exp::TopologySpec topology;
+  TopologySpec topology;
 };
 
 class CensusDifferentialTest
@@ -41,9 +41,12 @@ TEST_P(CensusDifferentialTest, TrackerMatchesOracleAfterEveryBatch) {
   const DifferentialParam& param = GetParam();
   const int k = 2;
   const int l = 4;
-  std::unique_ptr<SystemBase> system =
-      exp::make_system(param.topology, k, l, proto::Features::full(),
-                       /*cmax=*/3, sim::DelayModel{}, /*seed=*/42);
+  std::unique_ptr<SystemBase> system = SystemBuilder()
+                                           .topology(param.topology)
+                                           .kl(k, l)
+                                           .cmax(3)
+                                           .seed(42)
+                                           .build();
 
   // Workload churn so RSet / Prio deltas actually fire.
   proto::NodeBehavior behavior;
@@ -100,10 +103,10 @@ std::string differential_param_name(
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, CensusDifferentialTest,
     ::testing::Values(
-        DifferentialParam{"tree", exp::TopologySpec::tree_random(24, 3)},
-        DifferentialParam{"ring", exp::TopologySpec::ring(16)},
+        DifferentialParam{"tree", TopologySpec::tree_random(24, 3)},
+        DifferentialParam{"ring", TopologySpec::ring(16)},
         DifferentialParam{"graph",
-                          exp::TopologySpec::graph_random(16, 6, 5)}),
+                          TopologySpec::graph_random(16, 6, 5)}),
     differential_param_name);
 
 }  // namespace

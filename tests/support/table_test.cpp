@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include "support/csv.hpp"
 
 namespace klex::support {
 namespace {
@@ -54,38 +50,6 @@ TEST(Table, PrintIncludesTitle) {
   std::ostringstream out;
   t.print(out, "My Table");
   EXPECT_NE(out.str().find("My Table"), std::string::npos);
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  std::string path = ::testing::TempDir() + "/klex_csv_test.csv";
-  {
-    CsvWriter writer(path, {"a", "b"});
-    writer.add_row({"1", "2"});
-    writer.add_row({"x,y", "3"});
-    writer.flush();
-    EXPECT_EQ(writer.rows_written(), 2u);
-  }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "a,b");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "1,2");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "\"x,y\",3");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RejectsWrongArity) {
-  std::string path = ::testing::TempDir() + "/klex_csv_arity.csv";
-  CsvWriter writer(path, {"a"});
-  EXPECT_THROW(writer.add_row({"1", "2"}), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, UnopenablePathThrows) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -52,6 +52,14 @@ present on both sides the tool compares:
     artifact is a FAILURE (dropping the tail metric must not read as
     "the tail is fine").
 
+  * trajectory identity: per-run events_executed is gated EXACTLY. The
+    event count of a fixed seed's measurement window is a pure function
+    of the trajectory, so any change -- up or down -- means the run took
+    a different path (a refactor that must not change behaviour did, or
+    an intended change needs a re-baseline): REGRESSION. Likewise a run
+    whose baseline stabilized must still stabilize (stabilized
+    true -> false is a REGRESSION).
+
 Coverage is part of the contract: an aggregate cell (or a per-seed run)
 present in the baseline but missing from the current artifact is a
 FAILURE (a renamed or silently dropped cell must not read as "no
@@ -89,6 +97,9 @@ ENGINE_COUNTER_FIELDS = (
     "chaos_jittered",
 )
 RUN_COUNTER_FIELDS = ("recovery_events",)
+# Per-run fields that must match the baseline exactly: trajectory drift,
+# not growth, is the failure.
+RUN_EXACT_FIELDS = ("events_executed",)
 # Grant-latency tail percentiles (simulated ticks): bit-deterministic
 # per seed like the counters, but a *latency* gate -- growth is the
 # regression. Emitted only by scenarios whose runs recorded samples;
@@ -409,6 +420,33 @@ def main():
                 failures += 1
                 print(f"  REGRESSION  {fmt_key(key)}: recovered "
                       f"true -> {cur_run.get('recovered')}")
+            if base_run.get("stabilized") and cur_run.get("stabilized") \
+                    is not True:
+                failures += 1
+                print(f"  REGRESSION  {fmt_key(key)}: stabilized "
+                      f"true -> {cur_run.get('stabilized')}")
+            for field in RUN_EXACT_FIELDS:
+                base_v = checked_number(
+                    field, f"[{name}] baseline {fmt_key(key)}",
+                    base_run.get(field))
+                cur_v = checked_number(
+                    field, f"[{name}] current {fmt_key(key)}",
+                    cur_run.get(field))
+                if base_v is None:
+                    if cur_v is not None:
+                        print(f"  note        {fmt_key(key)}: {field} absent "
+                              f"from baseline; skipped (new counter)")
+                    continue
+                if cur_v is None:
+                    failures += 1
+                    print(f"  FAILURE     {fmt_key(key)}: {field} present in "
+                          f"baseline ({base_v}) but absent from current "
+                          f"artifact")
+                elif cur_v != base_v:
+                    failures += 1
+                    print(f"  REGRESSION  {fmt_key(key)}: {field} "
+                          f"{base_v} -> {cur_v} (gated exactly: the "
+                          f"trajectory drifted)")
             counters = [
                 (f"engine.{field}",
                  base_run.get("engine", {}).get(field),

@@ -21,7 +21,8 @@ BENCH_DIFF = Path(__file__).resolve().parent / "bench_diff.py"
 
 
 def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
-             latency_p99=None, mean_latency_p99=None, policy=None):
+             latency_p99=None, mean_latency_p99=None, policy=None,
+             events=5000, stabilized=True):
     """One minimal BENCH artifact with a single cell and a single run.
 
     latency_p99 / mean_latency_p99 add the degraded-mode grant-latency
@@ -43,6 +44,8 @@ def artifact(rate=100000.0, counter=42, recovery=7, recovered=True,
         "k": 1,
         "l": 2,
         "seed": 1,
+        "stabilized": stabilized,
+        "events_executed": events,
         "recovered": recovered,
         "recovery_events": recovery,
         "engine": {
@@ -199,6 +202,44 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("policy=drop2/resilient", result.stdout)
         self.assertIn("missing from current", result.stdout)
+
+    def test_events_executed_growth_fails(self):
+        result = run_diff(artifact(events=5000), artifact(events=5001))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("events_executed 5000 -> 5001", result.stdout)
+        self.assertIn("REGRESSION", result.stdout)
+
+    def test_events_executed_drop_fails(self):
+        # The gate is exact, not a growth bound: fewer events is a
+        # different trajectory too.
+        result = run_diff(artifact(events=5000), artifact(events=4000))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("events_executed 5000 -> 4000", result.stdout)
+
+    def test_events_executed_dropped_from_current_fails(self):
+        cur = artifact()
+        del cur["runs"][0]["events_executed"]
+        result = run_diff(artifact(), cur)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("events_executed present in baseline", result.stdout)
+
+    def test_events_executed_new_in_current_is_noted_not_failed(self):
+        base = artifact()
+        del base["runs"][0]["events_executed"]
+        result = run_diff(base, artifact())
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("events_executed absent from baseline", result.stdout)
+
+    def test_lost_stabilization_fails(self):
+        result = run_diff(artifact(stabilized=True),
+                          artifact(stabilized=False))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("stabilized true -> False", result.stdout)
+
+    def test_gained_stabilization_passes(self):
+        result = run_diff(artifact(stabilized=False),
+                          artifact(stabilized=True))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
 
 if __name__ == "__main__":
