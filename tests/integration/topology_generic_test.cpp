@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "api/workload_driver.hpp"
@@ -47,10 +48,22 @@ std::unique_ptr<SystemBase> make_graph_system(std::uint64_t seed) {
 
 using SystemFactory = std::unique_ptr<SystemBase> (*)(std::uint64_t);
 
-class TopologyGeneric : public ::testing::TestWithParam<SystemFactory> {};
+struct TopologyCase {
+  const char* name;
+  SystemFactory make;
+};
+
+// Prints the topology name instead of the factory's address, so the
+// parameter's printed value -- and the test name CTest derives from it --
+// is the same in every build and every run.
+void PrintTo(const TopologyCase& topology, std::ostream* os) {
+  *os << topology.name;
+}
+
+class TopologyGeneric : public ::testing::TestWithParam<TopologyCase> {};
 
 TEST_P(TopologyGeneric, StabilizesServesAndSurvivesFaults) {
-  std::unique_ptr<SystemBase> system = GetParam()(21);
+  std::unique_ptr<SystemBase> system = GetParam().make(21);
   int n = system->n();
 
   // Phase 1: bootstrap to the legitimate token population.
@@ -86,9 +99,10 @@ TEST_P(TopologyGeneric, StabilizesServesAndSurvivesFaults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyGeneric,
-                         ::testing::Values(&make_tree_system,
-                                           &make_ring_system,
-                                           &make_graph_system));
+                         ::testing::Values(
+                             TopologyCase{"tree", &make_tree_system},
+                             TopologyCase{"ring", &make_ring_system},
+                             TopologyCase{"graph", &make_graph_system}));
 
 TEST(GraphSystem, ComposesSpanningTreeWithExclusion) {
   GraphSystemConfig config;
