@@ -49,7 +49,7 @@ FleetSystem::FleetSystem(FleetConfig config)
   // One protocol instance per tenant, appended contiguously. Each tenant
   // finalizes its own params (timeout derived from its own size) exactly
   // like a standalone System would -- that is half of the standalone-
-  // equivalence argument; the other half is the per-stream sequencing
+  // equivalence argument; the other half is each tenant's own delay rng,
   // configured below.
   for (int t = 0; t < tenants; ++t) {
     const TenantSpec& spec = tenant_spec(t);

@@ -13,11 +13,15 @@
 //   * channels and timers: wired strictly inside a tenant's range, so no
 //     message or timeout ever crosses tenants.
 //   * sequencing: tenant t is engine stream t (sim::Engine streams). Its
-//     delay draws come from Rng(seed + t) and its event seqs stripe as
-//     stream_seq * R + t -- byte-identical sub-order to a standalone
-//     System built with seed + t, whatever the other tenants do. That is
-//     the differential anchor: fleet(1) == System(seed) bit for bit, and
-//     every tenant of fleet(R) replays its standalone trace.
+//     delay draws come from Rng(seed + t), and its events take the
+//     engine's lane seqs in push order. A tenant pushes its events in the
+//     same relative order as a standalone System built with seed + t, so
+//     its (at, seq) sub-order is byte-identical to that twin's, whatever
+//     the other tenants do; only the interleaving of different tenants
+//     within one tick is the fleet's own. That is the differential
+//     anchor: fleet(1) == System(seed) bit for bit, and every tenant of
+//     fleet(R) replays its standalone trace. Seqs in push order also keep
+//     a serial fleet's calendar buckets sorted (no lazy bucket sorts).
 //   * census: proto::CensusTracker grows a tenant axis -- per-tenant
 //     expected populations, per-tenant O(1) legitimacy (correct_of reads
 //     one stream's counters, never scanning the other R-1 tenants), and a

@@ -1077,6 +1077,8 @@ void write_json(std::ostream& out, const ScenarioSpec& spec,
     json.field("overflow_pushes",
                run.engine_stats.scheduler.overflow_pushes);
     json.field("overflow_pops", run.engine_stats.scheduler.overflow_pops);
+    json.field("bucket_sorts", run.engine_stats.scheduler.bucket_sorts);
+    json.field("sorted_events", run.engine_stats.scheduler.sorted_events);
     json.field("bucket_window", run.engine_stats.bucket_window);
     json.end_object();
     json.end_object();

@@ -29,8 +29,8 @@
 // per-entity sequencing -- per-channel seq counters for deliveries,
 // per-node counters for timers, one engine counter for callbacks, all
 // striped over a lane-count-independent stride (see seq helpers below).
-// Fleet engines (explicit streams) keep their per-stream sequencing and
-// only the chaos *decisions* come from the per-link rngs.
+// Fleet engines (explicit streams) keep their per-stream delay rngs and
+// lane seqs; only the chaos *decisions* come from the per-link rngs.
 //
 // Burst episodes: begin_burst() overrides the steady config on all (or
 // a subset of) links until a deadline -- FaultKind::kChaosBurst applies

@@ -58,7 +58,6 @@ NodeId Engine::add_process(std::unique_ptr<Process> process) {
   process->engine_ = this;
   process->id_ = id;
   processes_.push_back(std::move(process));
-  channel_lookup_.emplace_back();
   timer_generations_.resize(timer_generations_.size() + kMaxTimers, 0);
   return id;
 }
@@ -69,20 +68,36 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   KLEX_REQUIRE(to >= 0 && to < process_count(), "bad to node");
   KLEX_REQUIRE(from_channel >= 0, "bad from channel");
   KLEX_REQUIRE(to_channel >= 0, "bad to channel");
+  KLEX_REQUIRE(!started_, "cannot connect channels after start");
 
-  auto& lookup = channel_lookup_[static_cast<std::size_t>(from)];
-  if (static_cast<int>(lookup.size()) <= from_channel) {
-    lookup.resize(static_cast<std::size_t>(from_channel) + 1, -1);
+  // Widen `from`'s slot range in the CSR table to cover from_channel.
+  // Wiring in node order (as every builder does) only ever appends.
+  const std::size_t node = static_cast<std::size_t>(from);
+  if (channel_offsets_.size() < node + 2) {
+    channel_offsets_.resize(
+        node + 2, static_cast<std::int32_t>(channel_slots_.size()));
   }
-  KLEX_REQUIRE(lookup[static_cast<std::size_t>(from_channel)] == -1,
-               "channel (", from, ",", from_channel, ") already connected");
+  const std::size_t out = static_cast<std::size_t>(from_channel);
+  const std::size_t width = static_cast<std::size_t>(
+      channel_offsets_[node + 1] - channel_offsets_[node]);
+  if (out >= width) {
+    const std::size_t grow = out + 1 - width;
+    channel_slots_.insert(channel_slots_.begin() + channel_offsets_[node + 1],
+                          grow, -1);
+    for (std::size_t v = node + 1; v < channel_offsets_.size(); ++v) {
+      channel_offsets_[v] += static_cast<std::int32_t>(grow);
+    }
+  }
+  std::int32_t& slot =
+      channel_slots_[static_cast<std::size_t>(channel_offsets_[node]) + out];
+  KLEX_REQUIRE(slot == -1, "channel (", from, ",", from_channel,
+               ") already connected");
+  slot = static_cast<std::int32_t>(channels_.size());
 
   DirectedChannel channel;
   channel.info = ChannelInfo{from, from_channel, to, to_channel};
   channel.src_lane = lane_of(from);
   channel.dst_lane = lane_of(to);
-  lookup[static_cast<std::size_t>(from_channel)] =
-      static_cast<int>(channels_.size());
   channels_.push_back(std::move(channel));
 }
 
@@ -220,12 +235,16 @@ void Engine::boot() {
 
 int Engine::channel_index_of(NodeId from, int from_channel) const {
   KLEX_CHECK(from >= 0 && from < process_count(), "bad node ", from);
-  const auto& lookup = channel_lookup_[static_cast<std::size_t>(from)];
-  KLEX_CHECK(from_channel >= 0 &&
-                 from_channel < static_cast<int>(lookup.size()) &&
-                 lookup[static_cast<std::size_t>(from_channel)] != -1,
+  const std::size_t node = static_cast<std::size_t>(from);
+  // Offsets stop at the last wired node; later nodes have no channels.
+  const bool covered = node + 1 < channel_offsets_.size();
+  const std::int32_t begin = covered ? channel_offsets_[node] : 0;
+  const std::int32_t width = covered ? channel_offsets_[node + 1] - begin : 0;
+  KLEX_CHECK(from_channel >= 0 && from_channel < width &&
+                 channel_slots_[static_cast<std::size_t>(
+                     begin + from_channel)] != -1,
              "channel (", from, ",", from_channel, ") is not connected");
-  return lookup[static_cast<std::size_t>(from_channel)];
+  return channel_slots_[static_cast<std::size_t>(begin + from_channel)];
 }
 
 void Engine::schedule_delivery(int channel_index, const Message& msg) {
@@ -235,36 +254,20 @@ void Engine::schedule_delivery(int channel_index, const Message& msg) {
   }
   DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
-  SimTime delay;
-  std::uint64_t seq;
-  if (streams_explicit_) {
-    // Stream sequencing: the channel's stream draws the delay and stripes
-    // the seq, so a tenant's sub-trajectory is independent of every other
-    // tenant sharing the engine.
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    delay = delays_.min_delay +
-            static_cast<SimTime>(stream.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = stream.next_seq++ * streams_.size() +
-          static_cast<std::uint64_t>(dc.stream);
-    ++stream.in_flight_by_type[type_bucket(msg.type)];
-    ++src.in_flight;
-  } else {
-    delay = delays_.min_delay +
-            static_cast<SimTime>(src.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = src.next_seq++ * lanes_.size() +
-          static_cast<std::uint64_t>(dc.src_lane);
-    ++src.in_flight;
-    ++src.in_flight_by_type[type_bucket(msg.type)];
-  }
+  // A tenant's delays come from its stream, so its draws are independent
+  // of every other tenant sharing the engine.
+  SimTime delay = draw_delay(
+      streams_explicit_ ? streams_[static_cast<std::size_t>(dc.stream)].rng
+                        : src.rng);
+  ++src.in_flight;
+  ++in_flight_cells(dc, src)[type_bucket(msg.type)];
   // FIFO: the delivery may not overtake earlier traffic on this channel.
   SimTime deliver_at = std::max(src.now + delay, dc.last_scheduled);
   dc.last_scheduled = deliver_at;
 
   Event event;
   event.at = deliver_at;
-  event.seq = seq;
+  event.seq = next_lane_seq(dc.src_lane);
   event.kind = EventKind::kDelivery;
   event.target = channel_index;
   event.payload = dc.epoch;
@@ -342,12 +345,7 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     // Held back: stays in the in-flight census (released without
     // re-counting), overtaken by up to reorder_window later sends.
     ++src.in_flight;
-    if (streams_explicit_) {
-      ++streams_[static_cast<std::size_t>(dc.stream)]
-            .in_flight_by_type[type_bucket(msg.type)];
-    } else {
-      ++src.in_flight_by_type[type_bucket(msg.type)];
-    }
+    ++in_flight_cells(dc, src)[type_bucket(msg.type)];
     const std::uint64_t id = link.next_hold_id++;
     const int release_after = 1 + static_cast<int>(link.rng.next_below(
         static_cast<std::uint64_t>(cfg.reorder_window)));
@@ -357,13 +355,8 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     // channel clear find an empty hold buffer (ids never reset).
     Event flush;
     flush.at = src.now + cfg.reorder_flush_delay;
-    if (streams_explicit_) {
-      Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-      flush.seq = stream.next_seq++ * streams_.size() +
-                  static_cast<std::uint64_t>(dc.stream);
-    } else {
-      flush.seq = chaos_->delivery_seq(channel_index);
-    }
+    flush.seq = streams_explicit_ ? next_lane_seq(dc.src_lane)
+                                  : chaos_->delivery_seq(channel_index);
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
@@ -380,32 +373,22 @@ void Engine::chaos_schedule_copy(int channel_index, const Message& msg,
   DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
   ChaosModel::Link& link = chaos_->link(channel_index);
+  // Fleet engines keep their stream delays and lane seqs (only the chaos
+  // decisions and jitter come from the link rng); the rest take chaos
+  // sequencing: delay and seq from the per-channel state, so the
+  // trajectory is identical at every lane count.
   SimTime delay;
   std::uint64_t seq;
   if (streams_explicit_) {
-    // Fleet engines keep their stream sequencing; only the chaos
-    // decisions and jitter come from the link rng.
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    delay = delays_.min_delay +
-            static_cast<SimTime>(stream.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
-    seq = stream.next_seq++ * streams_.size() +
-          static_cast<std::uint64_t>(dc.stream);
-    if (fresh) {
-      ++stream.in_flight_by_type[type_bucket(msg.type)];
-      ++src.in_flight;
-    }
+    delay = draw_delay(streams_[static_cast<std::size_t>(dc.stream)].rng);
+    seq = next_lane_seq(dc.src_lane);
   } else {
-    // Chaos sequencing: delay and seq from the per-channel state, so the
-    // trajectory is identical at every lane count.
-    delay = delays_.min_delay +
-            static_cast<SimTime>(link.rng.next_below(
-                delays_.max_delay - delays_.min_delay + 1));
+    delay = draw_delay(link.rng);
     seq = chaos_->delivery_seq(channel_index);
-    if (fresh) {
-      ++src.in_flight;
-      ++src.in_flight_by_type[type_bucket(msg.type)];
-    }
+  }
+  if (fresh) {
+    ++src.in_flight;
+    ++in_flight_cells(dc, src)[type_bucket(msg.type)];
   }
   if (fresh && cfg.jitter > 0) {
     SimTime extra = static_cast<SimTime>(link.rng.next_below(
@@ -432,16 +415,16 @@ void Engine::chaos_schedule_copy(int channel_index, const Message& msg,
   }
 }
 
-void Engine::chaos_mature_holds(int channel_index, std::uint64_t below) {
+template <typename Due>
+void Engine::chaos_release(int channel_index, Due is_due) {
   ChaosModel::Link& link = chaos_->link(channel_index);
-  if (link.held.empty()) return;
   // Collect the due holds first, then schedule: the release path draws
   // from the link rng and must not interleave with the compaction.
   std::vector<ChaosModel::Held> due;
   std::size_t out = 0;
   for (std::size_t i = 0; i < link.held.size(); ++i) {
     ChaosModel::Held& held = link.held[i];
-    if (held.id < below && --held.release_after <= 0) {
+    if (is_due(held)) {
       due.push_back(held);
     } else {
       if (out != i) link.held[out] = std::move(held);
@@ -459,29 +442,19 @@ void Engine::chaos_mature_holds(int channel_index, std::uint64_t below) {
   }
 }
 
+void Engine::chaos_mature_holds(int channel_index, std::uint64_t below) {
+  if (chaos_->link(channel_index).held.empty()) return;
+  chaos_release(channel_index, [below](ChaosModel::Held& held) {
+    return held.id < below && --held.release_after <= 0;
+  });
+}
+
 void Engine::chaos_flush(int channel_index, std::uint64_t up_to) {
-  ChaosModel::Link& link = chaos_->link(channel_index);
-  if (link.held.empty() || link.held.front().id > up_to) return;
-  std::vector<ChaosModel::Held> due;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < link.held.size(); ++i) {
-    ChaosModel::Held& held = link.held[i];
-    if (held.id <= up_to) {
-      due.push_back(held);
-    } else {
-      if (out != i) link.held[out] = std::move(held);
-      ++out;
-    }
-  }
-  link.held.resize(out);
-  const ChaosConfig& cfg = chaos_->effective(
-      channel_index,
-      lanes_[static_cast<std::size_t>(
-                 channels_[static_cast<std::size_t>(channel_index)].src_lane)]
-          .now);
-  for (const ChaosModel::Held& held : due) {
-    chaos_schedule_copy(channel_index, held.msg, cfg, false);
-  }
+  const auto& holds = chaos_->link(channel_index).held;
+  if (holds.empty() || holds.front().id > up_to) return;
+  chaos_release(channel_index, [up_to](const ChaosModel::Held& held) {
+    return held.id <= up_to;
+  });
 }
 
 void Engine::send_from(NodeId from, int channel, const Message& msg) {
@@ -490,12 +463,9 @@ void Engine::send_from(NodeId from, int channel, const Message& msg) {
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
   schedule_delivery(index, msg);
   ++src.messages_sent;
-  if (streams_explicit_) {
-    ++streams_[static_cast<std::size_t>(dc.stream)]
-          .sent_by_type[type_bucket(msg.type)];
-  } else {
-    ++src.sent_by_type[type_bucket(msg.type)];
-  }
+  ++(streams_explicit_ ? streams_[static_cast<std::size_t>(dc.stream)]
+                             .sent_by_type
+                       : src.sent_by_type)[type_bucket(msg.type)];
   if (!observers_.empty()) notify_send(from, channel, msg);
 }
 
@@ -524,19 +494,10 @@ void Engine::set_timer_for(NodeId node, int timer_id, SimTime delay) {
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   Event event;
   event.at = lane.now + delay;
-  if (streams_explicit_) {
-    std::int32_t s = node_stream_[static_cast<std::size_t>(node)];
-    event.seq = streams_[static_cast<std::size_t>(s)].next_seq++ *
-                    streams_.size() +
-                static_cast<std::uint64_t>(s);
-  } else if (chaos_) {
-    // Chaos sequencing: per-node timer counters keep the (at, seq)
-    // order lane-count-independent (see chaos.hpp).
-    event.seq = chaos_->timer_seq(node);
-  } else {
-    event.seq = lane.next_seq++ * lanes_.size() +
-                static_cast<std::uint64_t>(lane_index);
-  }
+  // Chaos sequencing: per-node timer counters keep the (at, seq) order
+  // lane-count-independent (see chaos.hpp).
+  event.seq = chaos_ && !streams_explicit_ ? chaos_->timer_seq(node)
+                                           : next_lane_seq(lane_index);
   event.kind = EventKind::kTimer;
   event.target = node;
   event.timer_id = static_cast<std::uint8_t>(timer_id);
@@ -591,17 +552,10 @@ void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
 
   Event event;
   event.at = lane.now + delay;
-  if (streams_explicit_) {
-    event.seq = streams_[static_cast<std::size_t>(stream)].next_seq++ *
-                    streams_.size() +
-                static_cast<std::uint64_t>(stream);
-  } else if (chaos_) {
-    event.seq = chaos_->callback_seq();
-  } else {
-    event.seq = lane.next_seq++ * lanes_.size() +
-                static_cast<std::uint64_t>(lane_index);
-  }
+  event.seq = chaos_ && !streams_explicit_ ? chaos_->callback_seq()
+                                           : next_lane_seq(lane_index);
   event.kind = EventKind::kCallback;
+  event.target = stream;
   event.payload = slot;
   lane.queue.push(event);
   ++lane.pending_callbacks;
@@ -736,6 +690,8 @@ EngineStats Engine::stats() const {
     stats.scheduler.bucket_scans += c.bucket_scans;
     stats.scheduler.overflow_pushes += c.overflow_pushes;
     stats.scheduler.overflow_pops += c.overflow_pops;
+    stats.scheduler.bucket_sorts += c.bucket_sorts;
+    stats.scheduler.sorted_events += c.sorted_events;
   }
   stats.in_flight_walks = in_flight_walks_;
   stats.bucket_window =
@@ -765,15 +721,10 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       // (delivery times per channel are monotone, ties keep send order).
       Message msg = dc.in_flight.front();
       dc.in_flight.pop_front();
-      if (streams_explicit_) {
-        // The stream cell is exact (same cell as the increment); it is
-        // also same-thread, because streams nest inside lanes and
-        // channels never cross streams.
-        --streams_[static_cast<std::size_t>(dc.stream)]
-              .in_flight_by_type[type_bucket(msg.type)];
-      } else {
-        --lane.in_flight_by_type[type_bucket(msg.type)];
-      }
+      // A stream cell is exact (same cell as the increment) and
+      // same-thread: streams nest inside lanes and channels never cross
+      // streams.
+      --in_flight_cells(dc, lane)[type_bucket(msg.type)];
       --lane.in_flight;
       ++lane.messages_delivered;
       NodeId to = dc.info.to;
@@ -814,6 +765,14 @@ void Engine::dispatch(Lane& lane, const Event& event) {
   }
 }
 
+int Engine::stream_of_event(const Event& event) const {
+  if (event.kind == EventKind::kCallback) return event.target;
+  if (event.kind == EventKind::kTimer) {
+    return node_stream_[static_cast<std::size_t>(event.target)];
+  }
+  return channels_[static_cast<std::size_t>(event.target)].stream;
+}
+
 void Engine::execute(Lane& lane, int lane_index, const Event& event) {
   KLEX_CHECK(event.at >= lane.now, "event queue went backwards");
   if (event.at != lanes_[0].now) {
@@ -826,30 +785,22 @@ void Engine::execute(Lane& lane, int lane_index, const Event& event) {
     }
   }
   ++lane.events_executed;
+  if (!streams_explicit_ && lanes_.size() == 1) {
+    dispatch(lane, event);  // the classic serial engine: no TLS context
+    return;
+  }
   if (streams_explicit_) {
-    // seq striping makes the executing stream recoverable from any event:
-    // seq = stream_seq * stream_count + stream.
-    int stream = static_cast<int>(event.seq % streams_.size());
+    int stream = stream_of_event(event);
     ++streams_[static_cast<std::size_t>(stream)].events_executed;
     last_stream_ = stream;
     detail::t_current_stream = stream;
-    detail::t_current_lane = lane_index;
-    detail::t_current_event_seq = event.seq;
-    dispatch(lane, event);
-    detail::t_current_event_seq = 0;
-    detail::t_current_lane = 0;
-    detail::t_current_stream = 0;
-    return;
   }
-  if (lanes_.size() > 1) {
-    detail::t_current_lane = lane_index;
-    detail::t_current_event_seq = event.seq;
-    dispatch(lane, event);
-    detail::t_current_event_seq = 0;
-    detail::t_current_lane = 0;
-  } else {
-    dispatch(lane, event);
-  }
+  detail::t_current_lane = lane_index;
+  detail::t_current_event_seq = event.seq;
+  dispatch(lane, event);
+  detail::t_current_event_seq = 0;
+  detail::t_current_lane = 0;
+  detail::t_current_stream = 0;
 }
 
 bool Engine::pop_next(SimTime t, Event* out, int* lane_out) {
@@ -962,7 +913,7 @@ void Engine::run_lane_window(int lane_index, SimTime t) {
       // this lane (streams nest in lanes), so the stream cell and the TLS
       // slot are single-writer. last_stream_ is deliberately not updated
       // here -- it serves the merged-serial stabilization loop only.
-      int stream = static_cast<int>(event.seq % streams_.size());
+      int stream = stream_of_event(event);
       ++streams_[static_cast<std::size_t>(stream)].events_executed;
       detail::t_current_stream = stream;
     }

@@ -37,18 +37,20 @@
 //     only summed between windows;
 //   * channel epochs and clear_channels() are barrier-only operations.
 //
-// Streams (multi-tenant fleets). configure_streams() overlays an
-// independent *sequencing* axis on top of the lanes: each stream owns its
-// own rng, seq counter and per-type census cells, seeded independently of
-// the engine seed. The fleet layer (api/fleet.hpp) maps one protocol
-// instance ("tenant") to one stream, so a tenant's delay draws and its
-// (at, seq) sub-order are byte-identical to a standalone engine running
-// that tenant alone with the stream's seed -- whatever the other tenants
-// do. Streams must nest inside lanes (every node of a stream on one lane,
-// channels never crossing streams), which preserves the single-writer
-// contract above verbatim. Engines that never call configure_streams()
-// take none of these paths: the default mode is the pre-stream engine,
-// bit for bit.
+// Streams (multi-tenant fleets). configure_streams() overlays tenant
+// namespaces on the lanes: each stream owns its own delay rng and
+// per-type census cells, seeded independently of the engine seed, but no
+// seq counter -- every event still takes the lane rule above. The fleet
+// layer (api/fleet.hpp) maps one protocol instance ("tenant") to one
+// stream. A tenant's delay draws are then byte-identical to a standalone
+// engine running that tenant alone with the stream's seed, and since the
+// tenant pushes its events in the same relative order as that twin, its
+// (at, seq) sub-order is too; only how different tenants interleave
+// within one tick depends on the fleet. Streams must nest inside lanes
+// (every node of a stream on one lane, channels never crossing streams),
+// which preserves the single-writer contract above verbatim and keeps a
+// serial fleet's calendar buckets in push (= seq) order. Engines that
+// never call configure_streams() take none of these paths.
 #pragma once
 
 #include <algorithm>
@@ -260,6 +262,8 @@ struct EngineStats {
     scheduler.bucket_scans += other.scheduler.bucket_scans;
     scheduler.overflow_pushes += other.scheduler.overflow_pushes;
     scheduler.overflow_pops += other.scheduler.overflow_pops;
+    scheduler.bucket_sorts += other.scheduler.bucket_sorts;
+    scheduler.sorted_events += other.scheduler.sorted_events;
   }
 };
 
@@ -280,6 +284,7 @@ class Engine {
 
   /// Creates the directed FIFO channel from (`from`, `from_channel`) to
   /// (`to`, `to_channel`). Both directions of a link are two calls.
+  /// Wiring is fixed at start(): connecting a started engine throws.
   void connect(NodeId from, int from_channel, NodeId to, int to_channel);
 
   int process_count() const { return static_cast<int>(processes_.size()); }
@@ -314,20 +319,22 @@ class Engine {
   /// cells stay tiny; the partitioners clamp to it).
   static constexpr int kMaxLanes = 16;
 
-  // -- streams (multi-tenant sequencing; see the file comment) ---------------
+  // -- streams (multi-tenant namespaces; see the file comment) ---------------
 
   /// Overlays explicit streams on the engine: node v belongs to stream
-  /// `node_stream[v]`, and stream s draws delays from its own
-  /// Rng(stream_seeds[s]) and stripes its event seqs as
-  /// `stream_seq * stream_count + s`. Must be called after wiring (and
-  /// after configure_lanes, if any) and before start(). Every stream must
-  /// nest inside one lane and no channel may cross streams -- that is what
-  /// keeps stream state single-writer and tenants causally independent.
+  /// `node_stream[v]`, and stream s draws its channels' delays from its
+  /// own Rng(stream_seeds[s]) and counts their traffic in its own census
+  /// cells. Event seqs keep the lane rule. Must be called after wiring
+  /// (and after configure_lanes, if any) and before start(). Every stream
+  /// must nest inside one lane and no channel may cross streams -- that is
+  /// what keeps stream state single-writer and tenants causally
+  /// independent.
   void configure_streams(const std::vector<int>& node_stream,
                          const std::vector<std::uint64_t>& stream_seeds);
 
-  /// Number of explicit streams (lane_count() when none were configured:
-  /// the default engine sequences per lane).
+  /// Number of stream namespaces: the explicit streams, or lane_count()
+  /// when none were configured (the default engine's per-lane census
+  /// cells and rngs play the stream role).
   int stream_count() const {
     return streams_explicit_ ? static_cast<int>(streams_.size())
                              : lane_count();
@@ -519,11 +526,11 @@ class Engine {
   /// workloads / applications to model request arrivals and CS completion).
   void schedule(SimTime delay, std::function<void()> fn);
 
-  /// schedule() with an explicit sequencing stream, for callers outside
-  /// any event context (a workload driver arming a tenant's first think
-  /// timer from the main thread). Engines without explicit streams ignore
-  /// `stream` and behave exactly like schedule(); with streams, the
-  /// callback is sequenced in `stream` and queued on its home lane.
+  /// schedule() with an explicit stream, for callers outside any event
+  /// context (a workload driver arming a tenant's first think timer from
+  /// the main thread). Engines without explicit streams ignore `stream`
+  /// and behave exactly like schedule(); with streams, the callback runs
+  /// in `stream` and is queued (and sequenced) on its home lane.
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
 
@@ -653,8 +660,8 @@ class Engine {
     // and pushes the ring; the destination lane pops it at delivery.
     std::int32_t src_lane = 0;
     std::int32_t dst_lane = 0;
-    // Sequencing stream (== src stream == dst stream: channels may not
-    // cross streams). 0 until configure_streams, unused before it.
+    // Stream (== src stream == dst stream: channels may not cross
+    // streams). 0 until configure_streams, unused before it.
     std::int32_t stream = 0;
     MessageRing in_flight;
   };
@@ -696,14 +703,14 @@ class Engine {
     std::vector<Outbound> outbox;
   };
 
-  /// One explicit stream (tenant): its own rng, seq counter and per-type
-  /// census cells. Single writer: all of a stream's nodes live on one
-  /// lane, so only that lane's thread ever touches the stream.
+  /// One explicit stream (tenant): its own rng and per-type census cells
+  /// (its events are sequenced by their lane). Single writer: all of a
+  /// stream's nodes live on one lane, so only that lane's thread ever
+  /// touches the stream.
   struct Stream {
     explicit Stream(support::Rng stream_rng) : rng(stream_rng) {}
 
     support::Rng rng;
-    std::uint64_t next_seq = 0;
     std::uint64_t events_executed = 0;
     std::int32_t home_lane = 0;
     std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
@@ -719,6 +726,31 @@ class Engine {
   }
 
   int channel_index_of(NodeId from, int from_channel) const;
+  /// Next seq of `lane_index`'s counter: `lane_seq * lane_count + lane`.
+  std::uint64_t next_lane_seq(int lane_index) {
+    return lanes_[static_cast<std::size_t>(lane_index)].next_seq++ *
+               lanes_.size() +
+           static_cast<std::uint64_t>(lane_index);
+  }
+  /// Uniform delay in [min_delay, max_delay] drawn from `rng`.
+  SimTime draw_delay(support::Rng& rng) const {
+    return delays_.min_delay +
+           static_cast<SimTime>(
+               rng.next_below(delays_.max_delay - delays_.min_delay + 1));
+  }
+  /// In-flight census cells a channel's messages count in: its stream's
+  /// with explicit streams (exact per tenant), else `lane`'s.
+  std::array<std::uint64_t, kTrackedMessageTypes>& in_flight_cells(
+      const DirectedChannel& dc, Lane& lane) {
+    return streams_explicit_
+               ? streams_[static_cast<std::size_t>(dc.stream)]
+                     .in_flight_by_type
+               : lane.in_flight_by_type;
+  }
+  /// Stream an event executes in (explicit streams only): the channel's
+  /// for deliveries and chaos flushes, the node's for timers, and the
+  /// one schedule_callback stored in `target` for callbacks.
+  int stream_of_event(const Event& event) const;
   void boot();  // out-of-line once-only part of start()
   void size_ring_windows();
   void dispatch(Lane& lane, const Event& event);
@@ -742,6 +774,10 @@ class Engine {
   void chaos_mature_holds(int channel_index, std::uint64_t below);
   /// kChaosFlush dispatch: force-releases holds with id <= `up_to`.
   void chaos_flush(int channel_index, std::uint64_t up_to);
+  /// Removes the holds `is_due(held)` picks and reschedules them in hold
+  /// order (the shared tail of the two entry points above).
+  template <typename Due>
+  void chaos_release(int channel_index, Due is_due);
   void schedule_callback(int stream, int lane_index, SimTime delay,
                          std::function<void()> fn);
   // Observer fan-out, out of line: the hot send/deliver paths only test
@@ -768,8 +804,12 @@ class Engine {
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<DirectedChannel> channels_;
-  // channel_lookup_[node][out_channel] -> index into channels_, or -1.
-  std::vector<std::vector<int>> channel_lookup_;
+  // CSR channel table: node v's out-channel c is channels_ index
+  // channel_slots_[channel_offsets_[v] + c] (-1 when unwired). Offsets
+  // cover nodes up to the last wired one; wiring stops at start(), so
+  // lane threads only ever read the table.
+  std::vector<std::int32_t> channel_offsets_;
+  std::vector<std::int32_t> channel_slots_;
   // Flat [node * kMaxTimers + timer_id] -> generation; sized with the
   // processes, so the staleness check in dispatch is one indexed load.
   // Only ever touched by the owning node's lane.

@@ -77,6 +77,8 @@ void EventQueue::maybe_sort(Bucket& bucket) const {
   std::sort(bucket.events.begin() + bucket.head, bucket.events.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });
   bucket.unsorted = false;
+  ++counters_.bucket_sorts;
+  counters_.sorted_events += bucket.events.size() - bucket.head;
 }
 
 std::size_t EventQueue::scan_from(std::size_t from) const {

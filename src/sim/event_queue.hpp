@@ -57,7 +57,8 @@ struct Event {
   std::uint64_t seq = 0;       // insertion order; ties on `at` keep it
   std::uint64_t payload = 0;   // timer generation / callback slot /
                                // channel epoch (delivery)
-  std::int32_t target = -1;    // channel index (delivery) / node (timer)
+  std::int32_t target = -1;    // channel index (delivery, chaos flush) /
+                               // node (timer) / stream (callback)
   std::uint8_t timer_id = 0;   // < kMaxTimers
   EventKind kind = EventKind::kDelivery;
 
@@ -89,6 +90,10 @@ struct SchedulerCounters {
   std::uint64_t overflow_pushes = 0;
   /// Events popped off the heap side.
   std::uint64_t overflow_pops = 0;
+  /// Lazy bucket sorts (see Bucket::unsorted) and the events they sorted.
+  /// Zero on a serial engine that sequences by lane, fleets included.
+  std::uint64_t bucket_sorts = 0;
+  std::uint64_t sorted_events = 0;
 };
 
 /// Min-heap on (at, seq) over a flat vector. Versus std::priority_queue:
@@ -177,9 +182,12 @@ class EventQueue {
   struct Bucket {
     std::vector<Event> events;  // seq-ordered; consumed from `head`
     std::uint32_t head = 0;
-    // Barrier merges from several partition lanes may append out of seq
-    // order; the bucket is sorted lazily on first read. Single-lane
-    // traffic pushes in seq order and never sets this.
+    // Only pushes that interleave several seq counters append out of seq
+    // order: cross-lane deliveries (barrier merges, or the merged-serial
+    // loop of a multi-lane engine) and chaos sequencing's per-entity
+    // counters. The bucket is then sorted lazily on first read. A serial
+    // engine sequencing by lane -- fleets included -- pushes every event
+    // from one counter, in seq order, and never sets this.
     bool unsorted = false;
   };
 

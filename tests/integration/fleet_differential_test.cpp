@@ -8,10 +8,10 @@
 //
 //   1. fleet(1) is bit-identical to the plain single-system build
 //      (same sends, same deliveries, same grants, same fault response);
-//   2. every tenant of fleet(3) replays its standalone twin, including
-//      through a transient fault injected into ONE tenant only -- the
-//      faulted tenant tracks its (equally faulted) twin and the others
-//      never notice;
+//   2. every tenant of fleet(R), R in {3, 16}, replays its standalone
+//      twin, including through a transient fault injected into ONE
+//      tenant only -- the faulted tenant tracks its (equally faulted)
+//      twin and the others never notice;
 //   3. the worker-lane count changes nothing per tenant (serial vs
 //      windowed parallel execution), and each tenant still matches its
 //      standalone twin's counters.
@@ -184,28 +184,32 @@ TEST(FleetDifferentialTest, FleetOfOneIsBitIdenticalToSingleSystem) {
             single.system->token_counts_correct());
 }
 
-TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
+// R = 16 packs many tenants' events into each tick, so the fleet's
+// intra-tick interleaving of tenants differs most from any one twin's.
+class FleetTwinTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FleetTwinTest, EachTenantReplaysItsStandaloneTwin) {
   const std::uint64_t seed = 777;
-  const int kTenants = 3;
+  const int tenants = GetParam();
 
   SystemBuilder fleet_builder = base_builder(seed);
-  fleet_builder.workload(contention_spec()).fleet(kTenants);
+  fleet_builder.workload(contention_spec()).fleet(tenants);
   Session fleet = fleet_builder.build_session();
   auto* fleet_system = dynamic_cast<FleetSystem*>(fleet.system.get());
   ASSERT_NE(fleet_system, nullptr);
-  ASSERT_EQ(fleet_system->tenant_count(), kTenants);
+  ASSERT_EQ(fleet_system->tenant_count(), tenants);
 
   std::vector<Session> singles;
-  for (int t = 0; t < kTenants; ++t) {
+  for (int t = 0; t < tenants; ++t) {
     SystemBuilder builder = base_builder(seed + static_cast<std::uint64_t>(t));
     builder.workload(contention_spec());
     singles.push_back(builder.build_session());
   }
 
   Recorder fleet_trace;
-  std::vector<Recorder> single_traces(kTenants);
+  std::vector<Recorder> single_traces(tenants);
   fleet.system->add_observer(&fleet_trace);
-  for (int t = 0; t < kTenants; ++t) {
+  for (int t = 0; t < tenants; ++t) {
     singles[static_cast<std::size_t>(t)].system->add_observer(
         &single_traces[static_cast<std::size_t>(t)]);
   }
@@ -218,7 +222,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   for (Session& s : singles) s.system->run_until(kT1);
 
   const int per_tenant_n = fleet_system->tenant_n(0);
-  for (int t = 0; t < kTenants; ++t) {
+  for (int t = 0; t < tenants; ++t) {
     Session& twin = singles[static_cast<std::size_t>(t)];
     expect_traces_equal(
         tenant_slice(fleet_trace.events, *fleet_system, t),
@@ -245,7 +249,7 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
   fleet.system->run_until(kT2);
   for (Session& s : singles) s.system->run_until(kT2);
 
-  for (int t = 0; t < kTenants; ++t) {
+  for (int t = 0; t < tenants; ++t) {
     Session& twin = singles[static_cast<std::size_t>(t)];
     expect_traces_equal(
         tenant_slice(fleet_trace.events, *fleet_system, t),
@@ -269,6 +273,8 @@ TEST(FleetDifferentialTest, EachTenantReplaysItsStandaloneTwin) {
     EXPECT_EQ(fleet_system->tenant_recovery_events(t), 0);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tenants, FleetTwinTest, ::testing::Values(3, 16));
 
 struct TenantFingerprint {
   std::uint64_t events = 0;

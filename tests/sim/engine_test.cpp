@@ -280,6 +280,48 @@ TEST(Engine, ConnectValidation) {
   EXPECT_THROW(engine.connect(5, 0, 1, 0), std::invalid_argument);
 }
 
+TEST(Engine, ConnectAfterStartRejected) {
+  Engine engine;
+  engine.add_process(std::make_unique<Recorder>());
+  engine.add_process(std::make_unique<Recorder>());
+  engine.connect(0, 0, 1, 0);
+  engine.start();
+  EXPECT_THROW(engine.connect(1, 0, 0, 0), std::invalid_argument);
+}
+
+TEST(Engine, ChannelsWiredOutOfNodeOrderResolve) {
+  // The channel table is laid out by node; wiring a lower node (or a
+  // higher channel) after later nodes must still address each channel.
+  Engine engine;
+  for (int i = 0; i < 3; ++i) engine.add_process(std::make_unique<Recorder>());
+  engine.connect(2, 0, 0, 1);
+  engine.connect(0, 1, 2, 0);
+  engine.connect(1, 0, 0, 0);
+  engine.connect(0, 0, 1, 0);
+  engine.connect(2, 2, 1, 1);
+  EXPECT_THROW(engine.connect(0, 1, 1, 1), std::invalid_argument);
+  engine.start();
+  engine.send_from(0, 1, tagged(1));
+  engine.send_from(2, 2, tagged(2));
+  engine.send_from(2, 2, tagged(3));
+  EXPECT_EQ(engine.channel_backlog(0, 0), 0);
+  EXPECT_EQ(engine.channel_backlog(0, 1), 1);
+  EXPECT_EQ(engine.channel_backlog(1, 0), 0);
+  EXPECT_EQ(engine.channel_backlog(2, 0), 0);
+  EXPECT_EQ(engine.channel_backlog(2, 2), 2);
+  EXPECT_THROW(engine.channel_backlog(2, 1), support::CheckFailure);
+  engine.run_until(1000);
+  const auto& at0 = dynamic_cast<Recorder&>(engine.process(0)).deliveries;
+  const auto& at1 = dynamic_cast<Recorder&>(engine.process(1)).deliveries;
+  const auto& at2 = dynamic_cast<Recorder&>(engine.process(2)).deliveries;
+  EXPECT_TRUE(at0.empty());
+  ASSERT_EQ(at1.size(), 2u);
+  EXPECT_EQ(at1[0].channel, 1);
+  EXPECT_EQ(at1[1].msg.f0, 3);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(at2[0].channel, 0);
+}
+
 TEST(Engine, BadDelayModelRejected) {
   EXPECT_THROW(Engine(DelayModel{0, 5}), std::invalid_argument);
   EXPECT_THROW(Engine(DelayModel{6, 5}), std::invalid_argument);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "api/builder.hpp"
 #include "sim/engine.hpp"
 
 namespace klex::sim {
@@ -266,6 +267,50 @@ TEST(EventCore, StatsCountersAreCoherent) {
   EXPECT_EQ(stats.events_executed, net.engine.events_executed());
   EXPECT_EQ(stats.callbacks_scheduled, 1u);
   EXPECT_GE(stats.max_heap_size, 20u);  // the burst was all pending at once
+}
+
+TEST(EventCore, SerialFleetNeverSortsABucket) {
+  // Every event of a serial engine -- each tenant's included -- takes the
+  // one lane seq counter, so buckets fill in seq order and the lazy sort
+  // never runs, however many tenants share a tick.
+  SystemBuilder builder;
+  builder.topology(TopologySpec::tree_balanced(2, 3))
+      .kl(2, 4)
+      .seed(11)
+      .workload(proto::WorkloadSpec{})
+      .fleet(64);
+  Session session = builder.build_session();
+  session.begin_workload();
+  session.system->run_until(100'000);
+  const SchedulerCounters counters =
+      session.system->engine().stats().scheduler;
+  EXPECT_GT(counters.bucket_inserts, 0u);
+  EXPECT_EQ(counters.bucket_sorts, 0u);
+  EXPECT_EQ(counters.sorted_events, 0u);
+}
+
+TEST(EventCore, CrossLanePushesSortTheBucketOnce) {
+  // Node 1 lives on lane 1. Twenty deliveries from lane 0 (seqs 0, 2,
+  // .., 38) and then node 1's own timer (seq 1) all land on tick 5 of
+  // lane 1's queue: the timer is appended behind higher seqs, so the
+  // bucket is sorted once, on first read.
+  Net net(DelayModel{5, 5});
+  net.engine.configure_lanes({0, 1}, 2);
+  net.engine.start();
+  for (int i = 0; i < 20; ++i) net.a->send(0, Message{1, i, 0, 0, 0});
+  net.b->set_timer(0, 5);
+  net.engine.run_until(5);
+  const SchedulerCounters counters = net.engine.stats().scheduler;
+  EXPECT_EQ(net.b->deliveries, 20);
+  ASSERT_EQ(net.b->timer_fires.size(), 1u);
+  EXPECT_EQ(counters.overflow_pushes, 8u);  // kSparseThreshold
+  EXPECT_EQ(counters.bucket_sorts, 1u);
+  EXPECT_EQ(counters.sorted_events, 13u);  // 12 ring deliveries + timer
+
+  EngineStats twice = net.engine.stats();
+  twice.merge(net.engine.stats());
+  EXPECT_EQ(twice.scheduler.bucket_sorts, 2u);
+  EXPECT_EQ(twice.scheduler.sorted_events, 26u);
 }
 
 }  // namespace

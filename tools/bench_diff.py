@@ -30,12 +30,12 @@ present on both sides the tool compares:
     same-machine commit-to-commit runs use the strict default. Cells
     carrying mean_wall_seconds and n also report wall-time per node.
   * deterministic counters: per-run engine.callback_slots_created,
-    engine.in_flight_walks, engine.overflow_pushes and the run-level
-    recovery_events (keyed by topology, features, k, l, fault_garbage,
-    seed). These are bit-deterministic per seed, so any growth beyond
-    --counter-tolerance plus --counter-slack means per-event allocations,
-    O(channels) census walks or heap-fallback scheduling crept back into
-    a hot path: REGRESSION. A counter present in the baseline but absent
+    engine.in_flight_walks, engine.overflow_pushes, engine.bucket_sorts
+    and the run-level recovery_events (keyed by topology, features, k, l,
+    fault_garbage, seed). These are bit-deterministic per seed, so any
+    growth beyond --counter-tolerance plus --counter-slack means
+    per-event allocations, O(channels) census walks, heap-fallback
+    scheduling or bucket sorting crept back into a hot path: REGRESSION. A counter present in the baseline but absent
     from the current artifact is a FAILURE (dropping a gated counter must
     not read as "no regression"); one absent from the baseline is skipped
     with a note (new counters gate once a baseline carrying them is
@@ -88,6 +88,11 @@ ENGINE_COUNTER_FIELDS = (
     "callback_slots_created",
     "in_flight_walks",
     "overflow_pushes",
+    # Lazy calendar-bucket sorts: zero on serial lane-sequenced engines
+    # (fleets included), so growth means out-of-order pushes came back.
+    # Baselines that predate the counter skip it via the absent-in-
+    # baseline rule.
+    "bucket_sorts",
     # Adversarial-channel decision counters: bit-deterministic per seed
     # (per-link chaos rng), emitted only by chaos-enabled scenarios --
     # absent baselines skip them via the absent-in-baseline rule.

@@ -241,6 +241,23 @@ class BenchDiffTest(unittest.TestCase):
                           artifact(stabilized=True))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
+    def test_bucket_sorts_growth_fails(self):
+        base = artifact()
+        base["runs"][0]["engine"]["bucket_sorts"] = 0
+        cur = artifact()
+        cur["runs"][0]["engine"]["bucket_sorts"] = 5000
+        result = run_diff(base, cur)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("engine.bucket_sorts 0 -> 5000", result.stdout)
+
+    def test_bucket_sorts_absent_from_baseline_is_skipped(self):
+        cur = artifact()
+        cur["runs"][0]["engine"]["bucket_sorts"] = 5000
+        result = run_diff(artifact(), cur)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("engine.bucket_sorts absent from baseline; skipped",
+                      result.stdout)
+
 
 if __name__ == "__main__":
     unittest.main()
