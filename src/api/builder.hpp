@@ -19,10 +19,13 @@
 //                               .fault(klex::FaultKind::kTransient)
 //                               .build_session();
 //
-// The exp::ExperimentRunner, every bench and every example construct
-// systems exclusively through this builder; SystemConfig /
-// GraphSystemConfig / ring::RingConfig remain as the topology-specific
-// spellings underneath it.
+// The exp::ExperimentRunner (and so every ScenarioSpec-driven bench
+// table), chaos_fuzz and every example construct systems through this
+// builder. SystemConfig / GraphSystemConfig / ring::RingConfig remain as
+// the topology-specific spellings underneath it, and the hand-driven
+// tables of eight bench binaries (fig1_circulation, thm2_waiting_time,
+// overhead, ring_vs_tree, ablation_shape, ablation_timeout, composition,
+// fig3_livelock) still construct System or RingSystem from them directly.
 #pragma once
 
 #include <cstdint>

@@ -81,9 +81,10 @@ void WorkloadDriver::schedule_cycle(proto::NodeId node,
   node_state.cycle_scheduled = true;
   sim::SimTime delay =
       node_state.behavior.think.sample(rng_for(node)) + extra_delay;
-  // Sequence the callback in the node's own stream: engines without
-  // explicit streams ignore the hint (identical to schedule()), fleets
-  // keep each tenant's callback sub-order independent of its neighbors.
+  // Sequence the callback in the node's own stream, on that stream's
+  // home lane (the node's lane): fleets keep each tenant's callback
+  // sub-order independent of its neighbors, and a multi-lane engine
+  // queues it where the node's own events run.
   engine_.schedule_in_stream(engine_.stream_of(node), delay,
                              [this, node] { start_acquire(node); });
 }

@@ -40,18 +40,18 @@ CensusTracker::CensusTracker(const sim::Engine* engine, int l,
 void CensusTracker::configure_tenants(
     std::vector<TenantExpectation> expected) {
   KLEX_REQUIRE(!expected.empty(), "need at least one tenant");
-  KLEX_REQUIRE(engine_->has_explicit_streams() &&
-                   engine_->stream_count() ==
-                       static_cast<int>(expected.size()),
+  KLEX_REQUIRE(engine_->stream_count() == static_cast<int>(expected.size()),
                "tenant axis needs one engine stream per tenant");
-  KLEX_REQUIRE(reserved_resource() == 0 && held_priority() == 0,
-               "configure tenants before any deltas accumulate");
+  for (const Cell& cell : cells_) {
+    KLEX_REQUIRE(cell.reserved.load(std::memory_order_relaxed) == 0 &&
+                     cell.held.load(std::memory_order_relaxed) == 0,
+                 "configure tenants before any deltas accumulate");
+  }
   for (const TenantExpectation& want : expected) {
     KLEX_REQUIRE(want.l >= 1, "need l >= 1 per tenant");
   }
-  if (static_cast<int>(expected.size()) > sim::Engine::kMaxLanes) {
-    overflow_cells_ = std::vector<LaneCell>(
-        expected.size() - static_cast<std::size_t>(sim::Engine::kMaxLanes));
+  if (expected.size() > cells_.size()) {
+    cells_ = std::vector<Cell>(expected.size());
   }
   // The global expected population is the fleet total, so correct()'s
   // default-mode fields stay meaningful for debug output.
@@ -79,7 +79,7 @@ void CensusTracker::resync(
     reserved += snap.rset_size;
     if (snap.holds_priority) ++held;
   }
-  for (LaneCell& cell : cells_) {
+  for (Cell& cell : cells_) {
     cell.reserved.store(0, std::memory_order_relaxed);
     cell.held.store(0, std::memory_order_relaxed);
   }

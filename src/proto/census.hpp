@@ -73,16 +73,17 @@ class CensusTracker final : public ParticipantDeltaSink {
                 Features features = Features::full());
 
   // -- ParticipantDeltaSink ---------------------------------------------------
-  // Deltas land in the cell of the lane executing the event (lane 0 for
-  // serial engines), so concurrent window execution never contends on a
-  // shared counter: each lane's worker is the only writer of its cell,
-  // and the load/add/store below is a plain single-writer update, not an
-  // atomic RMW -- the serial path pays one inlined TLS load per delta.
-  // Readers sum the cells; the sums are only meaningful between windows
-  // (the barrier's mutex hand-off orders the cells), which is where every
-  // caller of counts()/correct() lives.
-  void on_reserved_delta(int delta) override { bump(&LaneCell::reserved, delta); }
-  void on_priority_delta(int delta) override { bump(&LaneCell::held, delta); }
+  // Deltas land in the cell of the engine stream executing the event (one
+  // stream per lane by default, one per tenant in a fleet; stream 0 on a
+  // serial engine), so concurrent window execution never contends on a
+  // shared counter: a stream only runs on its home lane, whose worker is
+  // the only writer of its cell, and the load/add/store below is a plain
+  // single-writer update, not an atomic RMW -- the serial path pays one
+  // inlined TLS load per delta. Readers sum the cells; the sums are only
+  // meaningful between windows (the barrier's mutex hand-off orders the
+  // cells), which is where every caller of counts()/correct() lives.
+  void on_reserved_delta(int delta) override { bump(&Cell::reserved, delta); }
+  void on_priority_delta(int delta) override { bump(&Cell::held, delta); }
 
   /// Re-derives the participant half from snapshots (one O(n) walk; used
   /// when the sink is attached to already-running participants).
@@ -96,12 +97,10 @@ class CensusTracker final : public ParticipantDeltaSink {
     Features features = Features::full();
   };
 
-  /// Switches the tracker to the tenant axis: delta cells are indexed by
-  /// the engine's executing *stream* (one per tenant) instead of the
-  /// executing lane, and each tenant gets its own expected population.
-  /// Requires the engine to have explicit streams (one per expectation)
-  /// and pristine participants (no deltas accumulated yet). Single-writer
-  /// stays intact: a stream's deltas all come from its home lane's thread.
+  /// Switches the tracker to the tenant axis: each tenant (one engine
+  /// stream each) gets its own expected population. Requires one engine
+  /// stream per expectation and pristine participants (no deltas
+  /// accumulated yet).
   void configure_tenants(std::vector<TenantExpectation> expected);
 
   bool tenant_mode() const { return !tenant_expected_.empty(); }
@@ -113,7 +112,7 @@ class CensusTracker final : public ParticipantDeltaSink {
   bool correct_of(int tenant) const {
     const TenantExpectation& want =
         tenant_expected_[static_cast<std::size_t>(tenant)];
-    const LaneCell& c = cell(tenant);
+    const Cell& c = cells_[static_cast<std::size_t>(tenant)];
     return static_cast<int>(engine_->in_flight_of_type_in(
                tenant, static_cast<std::int32_t>(TokenType::kResource))) +
                    static_cast<int>(
@@ -130,12 +129,12 @@ class CensusTracker final : public ParticipantDeltaSink {
 
   /// Reserved / held stored-token counts of one tenant (tenant-mode only).
   int reserved_of(int tenant) const {
-    return static_cast<int>(
-        cell(tenant).reserved.load(std::memory_order_relaxed));
+    return static_cast<int>(cells_[static_cast<std::size_t>(tenant)]
+                                .reserved.load(std::memory_order_relaxed));
   }
   int held_of(int tenant) const {
-    return static_cast<int>(
-        cell(tenant).held.load(std::memory_order_relaxed));
+    return static_cast<int>(cells_[static_cast<std::size_t>(tenant)]
+                                .held.load(std::memory_order_relaxed));
   }
 
   /// The full census, assembled in O(1) from the engine's per-type
@@ -181,66 +180,45 @@ class CensusTracker final : public ParticipantDeltaSink {
   }
 
  private:
-  /// One delta accumulator per engine lane, cache-line separated so
+  /// One delta accumulator per engine stream, cache-line separated so
   /// worker threads never false-share. Single writer per cell.
-  struct alignas(64) LaneCell {
+  struct alignas(64) Cell {
     std::atomic<std::int64_t> reserved{0};
     std::atomic<std::int64_t> held{0};
   };
 
-  void bump(std::atomic<std::int64_t> LaneCell::* field, int delta) {
-    // Default mode indexes by executing lane; tenant mode by executing
-    // stream (same TLS-load cost -- the mode branch is one predictable
-    // test on a member already in cache).
-    std::size_t index = tenant_expected_.empty()
-                            ? static_cast<std::size_t>(
-                                  sim::Engine::current_lane())
-                            : static_cast<std::size_t>(
-                                  sim::Engine::current_stream());
-    std::atomic<std::int64_t>& cell = mutable_cell(index).*field;
+  void bump(std::atomic<std::int64_t> Cell::* field, int delta) {
+    std::atomic<std::int64_t>& cell =
+        cells_[static_cast<std::size_t>(sim::Engine::current_stream())].*
+        field;
     cell.store(cell.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
   }
 
-  /// Cell `i`: the first kMaxLanes live inline (the only ones the default
-  /// mode ever touches); fleets with more tenants than lanes spill into
-  /// the overflow vector sized by configure_tenants.
-  const LaneCell& cell(int i) const {
-    return i < sim::Engine::kMaxLanes
-               ? cells_[static_cast<std::size_t>(i)]
-               : overflow_cells_[static_cast<std::size_t>(
-                     i - sim::Engine::kMaxLanes)];
-  }
-  LaneCell& mutable_cell(std::size_t i) {
-    return i < static_cast<std::size_t>(sim::Engine::kMaxLanes)
-               ? cells_[i]
-               : overflow_cells_[i - static_cast<std::size_t>(
-                                         sim::Engine::kMaxLanes)];
-  }
-
-  // Only the engine's active lanes (or the fleet's tenants) can have
-  // accumulated deltas (serial engines: exactly cell 0). correct() probes
-  // this once per executed event inside run_until_stabilized, so the scan
-  // must not touch cells that are guaranteed zero.
-  int sum(std::atomic<std::int64_t> LaneCell::* field) const {
+  // Only the engine's streams can have accumulated deltas (serial
+  // engines: exactly cell 0). correct() probes this once per executed
+  // event inside run_until_stabilized, so the scan must not touch cells
+  // that are guaranteed zero.
+  int sum(std::atomic<std::int64_t> Cell::* field) const {
     std::int64_t total = 0;
-    const int active =
-        tenant_mode() ? tenant_count() : engine_->lane_count();
-    for (int i = 0; i < active; ++i) {
-      total += (cell(i).*field).load(std::memory_order_relaxed);
+    for (int i = 0; i < engine_->stream_count(); ++i) {
+      total += (cells_[static_cast<std::size_t>(i)].*field)
+                   .load(std::memory_order_relaxed);
     }
     return static_cast<int>(total);
   }
 
-  int reserved_resource() const { return sum(&LaneCell::reserved); }
-  int held_priority() const { return sum(&LaneCell::held); }
+  int reserved_resource() const { return sum(&Cell::reserved); }
+  int held_priority() const { return sum(&Cell::held); }
 
   const sim::Engine* engine_;
   int l_;
   int expected_pusher_ = 1;
   int expected_priority_ = 1;
-  LaneCell cells_[sim::Engine::kMaxLanes];
-  std::vector<LaneCell> overflow_cells_;
+  // One cell per possible lane stream; configure_tenants grows it to one
+  // per tenant (an engine with more streams needs the tenant axis).
+  std::vector<Cell> cells_ =
+      std::vector<Cell>(static_cast<std::size_t>(sim::Engine::kMaxLanes));
   std::vector<TenantExpectation> tenant_expected_;
 };
 

@@ -25,12 +25,15 @@
 // draws are independent of the lane count: a chaos run is reproducible
 // from (seed, config) alone and identical at every thread count P. To
 // extend that to the *whole* trajectory, an engine with an attached
-// chaos model (and no explicit streams) switches from per-lane to
-// per-entity sequencing -- per-channel seq counters for deliveries,
-// per-node counters for timers, one engine counter for callbacks, all
-// striped over a lane-count-independent stride (see seq helpers below).
-// Fleet engines (explicit streams) keep their per-stream delay rngs and
-// lane seqs; only the chaos *decisions* come from the per-link rngs.
+// chaos model and its default streams (one per lane) switches from
+// per-lane to per-entity sequencing -- per-channel seq counters and
+// link-rng delays for deliveries, per-node counters for timers, one
+// engine counter for callbacks, all striped over a lane-count-
+// independent stride (see seq helpers below). Fleet engines (one stream
+// per tenant, Engine::configure_streams) keep their stream delay rngs
+// and lane seqs; only the chaos *decisions* come from the per-link rngs.
+// This plain-vs-fleet choice is the engine's last difference between
+// the two; Engine fixes it when the streams are configured.
 //
 // Burst episodes: begin_burst() overrides the steady config on all (or
 // a subset of) links until a deadline -- FaultKind::kChaosBurst applies
@@ -152,7 +155,7 @@ class ChaosModel {
   SimTime burst_until() const { return burst_until_; }
   const ChaosConfig& burst_config() const { return burst_; }
 
-  // -- chaos sequencing (engines without explicit streams) -------------------
+  // -- chaos sequencing (engines with default streams) -----------------------
   //
   // seq = counter * stride + slot, with stride and slots independent of
   // the lane count: deliveries/flushes of channel c use slot c, timers

@@ -9,8 +9,8 @@
 namespace klex::sim {
 
 namespace {
-// Salt for deriving the rng streams of lanes >= 1 from the engine seed;
-// lane 0 keeps the plain seed so one lane == the serial engine.
+// Salt for deriving the rngs of default streams >= 1 from the engine
+// seed; stream 0 keeps the plain seed so one lane == the serial engine.
 constexpr std::uint64_t kLaneRngSalt = 0xC3D19A447E0155EDull;
 }  // namespace
 
@@ -48,7 +48,8 @@ Engine::Engine(DelayModel delays, std::uint64_t seed,
   KLEX_REQUIRE(delays_.min_delay >= 1, "min_delay must be >= 1");
   KLEX_REQUIRE(delays_.max_delay >= delays_.min_delay,
                "max_delay must be >= min_delay");
-  lanes_.emplace_back(scheduler_kind_, support::Rng(seed_));
+  lanes_.emplace_back(scheduler_kind_);
+  streams_.emplace_back(support::Rng(seed_), 0);
 }
 
 NodeId Engine::add_process(std::unique_ptr<Process> process) {
@@ -98,14 +99,14 @@ void Engine::connect(NodeId from, int from_channel, NodeId to,
   channel.info = ChannelInfo{from, from_channel, to, to_channel};
   channel.src_lane = lane_of(from);
   channel.dst_lane = lane_of(to);
+  channel.src_stream = stream_of(from);
+  channel.dst_stream = stream_of(to);
   channels_.push_back(std::move(channel));
 }
 
 void Engine::configure_lanes(const std::vector<int>& node_lane,
                              int lane_count) {
   KLEX_REQUIRE(!started_, "cannot repartition a started engine");
-  KLEX_REQUIRE(!streams_explicit_,
-               "configure lanes before streams (streams nest inside lanes)");
   KLEX_REQUIRE(lane_count >= 1 && lane_count <= kMaxLanes,
                "lane count must be in [1, ", kMaxLanes, "]");
   KLEX_REQUIRE(static_cast<int>(node_lane.size()) == process_count(),
@@ -119,28 +120,35 @@ void Engine::configure_lanes(const std::vector<int>& node_lane,
     KLEX_REQUIRE(lane >= 0 && lane < lane_count, "lane out of range");
   }
 
-  // Rebuild the lane set from scratch: lane 0 restarts on the engine
-  // seed (nothing has drawn from it before start), lanes >= 1 get
-  // independent salted streams.
+  // Rebuild the lanes and their default streams from scratch: stream 0
+  // restarts on the engine seed (nothing has drawn from it before
+  // start), streams >= 1 get independent salted rngs.
   lanes_.clear();
+  streams_.clear();
   lanes_.reserve(static_cast<std::size_t>(lane_count));
-  lanes_.emplace_back(scheduler_kind_, support::Rng(seed_));
-  support::Rng lane_streams(seed_ ^ kLaneRngSalt);
-  for (int i = 1; i < lane_count; ++i) {
-    lanes_.emplace_back(scheduler_kind_,
-                        lane_streams.split(static_cast<std::uint64_t>(i)));
+  streams_.reserve(static_cast<std::size_t>(lane_count));
+  support::Rng salted(seed_ ^ kLaneRngSalt);
+  for (int i = 0; i < lane_count; ++i) {
+    lanes_.emplace_back(scheduler_kind_);
+    streams_.emplace_back(
+        i == 0 ? support::Rng(seed_)
+               : salted.split(static_cast<std::uint64_t>(i)),
+        i);
   }
+  node_stream_ = node_lane_;
+  chaos_sequencing_ = true;
 
   for (DirectedChannel& dc : channels_) {
     dc.src_lane = lane_of(dc.info.from);
     dc.dst_lane = lane_of(dc.info.to);
+    dc.src_stream = dc.src_lane;
+    dc.dst_stream = dc.dst_lane;
   }
 }
 
 void Engine::configure_streams(const std::vector<int>& node_stream,
                                const std::vector<std::uint64_t>& stream_seeds) {
   KLEX_REQUIRE(!started_, "cannot re-stream a started engine");
-  KLEX_REQUIRE(!streams_explicit_, "configure_streams runs once");
   KLEX_REQUIRE(!stream_seeds.empty(), "need at least one stream");
   KLEX_REQUIRE(static_cast<int>(node_stream.size()) == process_count(),
                "one stream per node required");
@@ -149,15 +157,10 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
   }
 
   const int count = static_cast<int>(stream_seeds.size());
-  streams_.clear();
-  streams_.reserve(stream_seeds.size());
-  for (std::uint64_t seed : stream_seeds) {
-    streams_.emplace_back(support::Rng(seed));
-  }
   node_stream_.assign(node_stream.begin(), node_stream.end());
 
   // Every stream nests inside exactly one lane: that lane's thread is the
-  // single writer of the stream's rng, seq counter and census cells.
+  // single writer of the stream's rng and census cells.
   std::vector<std::int32_t> home(stream_seeds.size(), -1);
   for (NodeId v = 0; v < process_count(); ++v) {
     std::int32_t s = node_stream_[static_cast<std::size_t>(v)];
@@ -169,18 +172,21 @@ void Engine::configure_streams(const std::vector<int>& node_stream,
     KLEX_REQUIRE(home[static_cast<std::size_t>(s)] == lane,
                  "stream ", s, " spans lanes (streams must nest in a lane)");
   }
-  for (std::size_t s = 0; s < streams_.size(); ++s) {
-    streams_[s].home_lane = home[s] == -1 ? 0 : home[s];
+  streams_.clear();
+  streams_.reserve(stream_seeds.size());
+  for (std::size_t s = 0; s < stream_seeds.size(); ++s) {
+    streams_.emplace_back(support::Rng(stream_seeds[s]),
+                          home[s] == -1 ? 0 : home[s]);
   }
+  chaos_sequencing_ = false;
 
   for (DirectedChannel& dc : channels_) {
-    std::int32_t src = node_stream_[static_cast<std::size_t>(dc.info.from)];
-    std::int32_t dst = node_stream_[static_cast<std::size_t>(dc.info.to)];
-    KLEX_REQUIRE(src == dst, "channel ", dc.info.from, "->", dc.info.to,
+    dc.src_stream = stream_of(dc.info.from);
+    dc.dst_stream = stream_of(dc.info.to);
+    KLEX_REQUIRE(dc.src_stream == dc.dst_stream, "channel ", dc.info.from,
+                 "->", dc.info.to,
                  " crosses streams (tenants must be channel-independent)");
-    dc.stream = src;
   }
-  streams_explicit_ = true;
 }
 
 Process& Engine::process(NodeId id) {
@@ -220,17 +226,12 @@ void Engine::boot() {
   started_ = true;
   size_ring_windows();
   for (auto& process : processes_) {
-    // Fleet mode: any participant delta fired from on_start must land in
-    // the node's own stream cell (boot runs outside event execution, so
-    // the TLS stream would otherwise stay 0). Default engines skip this
-    // -- their deltas aggregate over lanes and boot runs on lane 0.
-    if (streams_explicit_) {
-      detail::t_current_stream =
-          node_stream_[static_cast<std::size_t>(process->id())];
-    }
+    // Any participant delta fired from on_start lands in the node's own
+    // stream cell (boot runs outside event execution, so the TLS stream
+    // would otherwise stay 0).
+    ScopedStream scope(stream_of(process->id()));
     process->on_start();
   }
-  if (streams_explicit_) detail::t_current_stream = 0;
 }
 
 int Engine::channel_index_of(NodeId from, int from_channel) const {
@@ -254,13 +255,12 @@ void Engine::schedule_delivery(int channel_index, const Message& msg) {
   }
   DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
+  Stream& src_stream = stream(dc.src_stream);
   // A tenant's delays come from its stream, so its draws are independent
   // of every other tenant sharing the engine.
-  SimTime delay = draw_delay(
-      streams_explicit_ ? streams_[static_cast<std::size_t>(dc.stream)].rng
-                        : src.rng);
+  SimTime delay = draw_delay(src_stream.rng);
   ++src.in_flight;
-  ++in_flight_cells(dc, src)[type_bucket(msg.type)];
+  ++src_stream.in_flight_by_type[type_bucket(msg.type)];
   // FIFO: the delivery may not overtake earlier traffic on this channel.
   SimTime deliver_at = std::max(src.now + delay, dc.last_scheduled);
   dc.last_scheduled = deliver_at;
@@ -345,7 +345,7 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     // Held back: stays in the in-flight census (released without
     // re-counting), overtaken by up to reorder_window later sends.
     ++src.in_flight;
-    ++in_flight_cells(dc, src)[type_bucket(msg.type)];
+    ++stream(dc.src_stream).in_flight_by_type[type_bucket(msg.type)];
     const std::uint64_t id = link.next_hold_id++;
     const int release_after = 1 + static_cast<int>(link.rng.next_below(
         static_cast<std::uint64_t>(cfg.reorder_window)));
@@ -355,8 +355,8 @@ void Engine::chaos_send(int channel_index, const Message& msg) {
     // channel clear find an empty hold buffer (ids never reset).
     Event flush;
     flush.at = src.now + cfg.reorder_flush_delay;
-    flush.seq = streams_explicit_ ? next_lane_seq(dc.src_lane)
-                                  : chaos_->delivery_seq(channel_index);
+    flush.seq = chaos_sequencing_ ? chaos_->delivery_seq(channel_index)
+                                  : next_lane_seq(dc.src_lane);
     flush.kind = EventKind::kChaosFlush;
     flush.target = channel_index;
     flush.payload = id;
@@ -373,22 +373,23 @@ void Engine::chaos_schedule_copy(int channel_index, const Message& msg,
   DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
   ChaosModel::Link& link = chaos_->link(channel_index);
-  // Fleet engines keep their stream delays and lane seqs (only the chaos
-  // decisions and jitter come from the link rng); the rest take chaos
-  // sequencing: delay and seq from the per-channel state, so the
-  // trajectory is identical at every lane count.
+  // Default streams take chaos sequencing: delay and seq from the
+  // per-channel state, so the trajectory is identical at every lane
+  // count. Tenant streams keep their stream delays and lane seqs (only
+  // the chaos decisions and jitter come from the link rng).
+  Stream& src_stream = stream(dc.src_stream);
   SimTime delay;
   std::uint64_t seq;
-  if (streams_explicit_) {
-    delay = draw_delay(streams_[static_cast<std::size_t>(dc.stream)].rng);
-    seq = next_lane_seq(dc.src_lane);
-  } else {
+  if (chaos_sequencing_) {
     delay = draw_delay(link.rng);
     seq = chaos_->delivery_seq(channel_index);
+  } else {
+    delay = draw_delay(src_stream.rng);
+    seq = next_lane_seq(dc.src_lane);
   }
   if (fresh) {
     ++src.in_flight;
-    ++in_flight_cells(dc, src)[type_bucket(msg.type)];
+    ++src_stream.in_flight_by_type[type_bucket(msg.type)];
   }
   if (fresh && cfg.jitter > 0) {
     SimTime extra = static_cast<SimTime>(link.rng.next_below(
@@ -460,12 +461,9 @@ void Engine::chaos_flush(int channel_index, std::uint64_t up_to) {
 void Engine::send_from(NodeId from, int channel, const Message& msg) {
   int index = channel_index_of(from, channel);
   const DirectedChannel& dc = channels_[static_cast<std::size_t>(index)];
-  Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
   schedule_delivery(index, msg);
-  ++src.messages_sent;
-  ++(streams_explicit_ ? streams_[static_cast<std::size_t>(dc.stream)]
-                             .sent_by_type
-                       : src.sent_by_type)[type_bucket(msg.type)];
+  ++lanes_[static_cast<std::size_t>(dc.src_lane)].messages_sent;
+  ++stream(dc.src_stream).sent_by_type[type_bucket(msg.type)];
   if (!observers_.empty()) notify_send(from, channel, msg);
 }
 
@@ -491,13 +489,16 @@ void Engine::set_timer_for(NodeId node, int timer_id, SimTime delay) {
   ++generation;  // invalidates any pending firing of this timer
 
   int lane_index = lane_of(node);
+  KLEX_CHECK(!in_window_ || lane_index == detail::t_current_lane, "node ",
+             node, " is on lane ", lane_index, ", not the executing lane ",
+             detail::t_current_lane, " (cross-lane push inside a window)");
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   Event event;
   event.at = lane.now + delay;
   // Chaos sequencing: per-node timer counters keep the (at, seq) order
   // lane-count-independent (see chaos.hpp).
-  event.seq = chaos_ && !streams_explicit_ ? chaos_->timer_seq(node)
-                                           : next_lane_seq(lane_index);
+  event.seq = chaos_ && chaos_sequencing_ ? chaos_->timer_seq(node)
+                                          : next_lane_seq(lane_index);
   event.kind = EventKind::kTimer;
   event.target = node;
   event.timer_id = static_cast<std::uint8_t>(timer_id);
@@ -514,30 +515,20 @@ void Engine::cancel_timer_for(NodeId node, int timer_id) {
 }
 
 void Engine::schedule(SimTime delay, std::function<void()> fn) {
-  int lane_index = detail::t_current_lane;
   // Inside an event handler the executing stream is ambient (dispatch
-  // maintains it); without explicit streams the stream slot is the lane.
-  int stream = streams_explicit_ ? detail::t_current_stream : lane_index;
-  schedule_callback(stream, lane_index, delay, std::move(fn));
+  // maintains it), and its home lane is the executing lane.
+  schedule_in_stream(detail::t_current_stream, delay, std::move(fn));
 }
 
-void Engine::schedule_in_stream(int stream, SimTime delay,
+void Engine::schedule_in_stream(int stream_index, SimTime delay,
                                 std::function<void()> fn) {
-  if (!streams_explicit_) {
-    // The default engine sequences per lane; the caller's stream hint is
-    // the lane hint it would have gotten ambiently anyway.
-    schedule(delay, std::move(fn));
-    return;
-  }
-  KLEX_REQUIRE(stream >= 0 && stream < static_cast<int>(streams_.size()),
-               "bad stream ", stream);
-  schedule_callback(stream,
-                    streams_[static_cast<std::size_t>(stream)].home_lane,
-                    delay, std::move(fn));
-}
-
-void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
-                               std::function<void()> fn) {
+  KLEX_REQUIRE(stream_index >= 0 && stream_index < stream_count(),
+               "bad stream ", stream_index);
+  const int lane_index = stream(stream_index).home_lane;
+  KLEX_CHECK(!in_window_ || lane_index == detail::t_current_lane,
+             "stream ", stream_index, " is homed on lane ", lane_index,
+             ", not the executing lane ", detail::t_current_lane,
+             " (cross-lane push inside a window)");
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   std::uint32_t slot;
   if (!lane.callback_free_slots.empty()) {
@@ -552,10 +543,10 @@ void Engine::schedule_callback(int stream, int lane_index, SimTime delay,
 
   Event event;
   event.at = lane.now + delay;
-  event.seq = chaos_ && !streams_explicit_ ? chaos_->callback_seq()
-                                           : next_lane_seq(lane_index);
+  event.seq = chaos_ && chaos_sequencing_ ? chaos_->callback_seq()
+                                          : next_lane_seq(lane_index);
   event.kind = EventKind::kCallback;
-  event.target = stream;
+  event.target = stream_index;
   event.payload = slot;
   lane.queue.push(event);
   ++lane.pending_callbacks;
@@ -585,40 +576,33 @@ void Engine::clear_channels() {
   // All channels are now empty: the per-lane in-flight and per-type
   // census counters reset as writes instead of a decrement per dropped
   // message (their cross-lane sums are the tracked quantity).
-  for (Lane& lane : lanes_) {
-    lane.in_flight = 0;
-    lane.in_flight_by_type.fill(0);
-  }
-  for (Stream& stream : streams_) {
-    stream.in_flight_by_type.fill(0);
-  }
+  for (Lane& lane : lanes_) lane.in_flight = 0;
+  for (Stream& s : streams_) s.in_flight_by_type.fill(0);
   // Held-back messages die with the channel content (their counters were
   // zeroed above; pending flush events find empty hold buffers).
   if (chaos_) chaos_->drop_all_holds();
 }
 
 void Engine::clear_channel_range(int begin, int end) {
-  KLEX_REQUIRE(streams_explicit_,
-               "clear_channel_range needs explicit streams (per-tenant "
-               "counter decrements route through the channel's stream)");
   KLEX_REQUIRE(begin >= 0 && begin <= end && end <= channel_count(),
                "bad channel range [", begin, ", ", end, ")");
   for (int i = begin; i < end; ++i) {
     DirectedChannel& dc = channels_[static_cast<std::size_t>(i)];
-    Stream& stream = streams_[static_cast<std::size_t>(dc.stream)];
-    Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
-    // Per-message decrements instead of clear_channels' reset-to-zero:
-    // other tenants' in-flight counts must survive untouched.
+    Stream& dst_stream = stream(dc.dst_stream);
+    Lane& dst = lanes_[static_cast<std::size_t>(dc.dst_lane)];
+    // Per-message decrements instead of clear_channels' reset-to-zero,
+    // landing where the deliveries would have: other tenants' in-flight
+    // counts must survive untouched.
     dc.in_flight.for_each([&](const Message& msg) {
-      --stream.in_flight_by_type[type_bucket(msg.type)];
-      --src.in_flight;
+      --dst_stream.in_flight_by_type[type_bucket(msg.type)];
+      --dst.in_flight;
     });
     dc.in_flight.clear();
     if (chaos_) {
       ChaosModel::Link& link = chaos_->link(i);
       for (const ChaosModel::Held& held : link.held) {
-        --stream.in_flight_by_type[type_bucket(held.msg.type)];
-        --src.in_flight;
+        --dst_stream.in_flight_by_type[type_bucket(held.msg.type)];
+        --dst.in_flight;
       }
       link.held.clear();
     }
@@ -721,10 +705,8 @@ void Engine::dispatch(Lane& lane, const Event& event) {
       // (delivery times per channel are monotone, ties keep send order).
       Message msg = dc.in_flight.front();
       dc.in_flight.pop_front();
-      // A stream cell is exact (same cell as the increment) and
-      // same-thread: streams nest inside lanes and channels never cross
-      // streams.
-      --in_flight_cells(dc, lane)[type_bucket(msg.type)];
+      // The destination stream is homed on this lane: same-thread.
+      --stream(dc.dst_stream).in_flight_by_type[type_bucket(msg.type)];
       --lane.in_flight;
       ++lane.messages_delivered;
       NodeId to = dc.info.to;
@@ -766,11 +748,17 @@ void Engine::dispatch(Lane& lane, const Event& event) {
 }
 
 int Engine::stream_of_event(const Event& event) const {
-  if (event.kind == EventKind::kCallback) return event.target;
-  if (event.kind == EventKind::kTimer) {
-    return node_stream_[static_cast<std::size_t>(event.target)];
+  switch (event.kind) {
+    case EventKind::kDelivery:
+      return channels_[static_cast<std::size_t>(event.target)].dst_stream;
+    case EventKind::kChaosFlush:
+      return channels_[static_cast<std::size_t>(event.target)].src_stream;
+    case EventKind::kTimer:
+      return stream_of(event.target);
+    case EventKind::kCallback:
+      break;
   }
-  return channels_[static_cast<std::size_t>(event.target)].stream;
+  return event.target;
 }
 
 void Engine::execute(Lane& lane, int lane_index, const Event& event) {
@@ -785,16 +773,14 @@ void Engine::execute(Lane& lane, int lane_index, const Event& event) {
     }
   }
   ++lane.events_executed;
-  if (!streams_explicit_ && lanes_.size() == 1) {
+  if (lanes_.size() == 1 && streams_.size() == 1) {
     dispatch(lane, event);  // the classic serial engine: no TLS context
     return;
   }
-  if (streams_explicit_) {
-    int stream = stream_of_event(event);
-    ++streams_[static_cast<std::size_t>(stream)].events_executed;
-    last_stream_ = stream;
-    detail::t_current_stream = stream;
-  }
+  const int stream_index = stream_of_event(event);
+  ++stream(stream_index).events_executed;
+  last_stream_ = stream_index;
+  detail::t_current_stream = stream_index;
   detail::t_current_lane = lane_index;
   detail::t_current_event_seq = event.seq;
   dispatch(lane, event);
@@ -900,7 +886,6 @@ void Engine::begin_window(SimTime start) {
 void Engine::run_lane_window(int lane_index, SimTime t) {
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   detail::t_current_lane = lane_index;
-  const bool streams = streams_explicit_;
   Event event;
   while (lane.queue.pop_min_until(t, &event)) {
     if (event.at != lane.now) {
@@ -908,15 +893,13 @@ void Engine::run_lane_window(int lane_index, SimTime t) {
       lane.queue.advance_to(event.at);
     }
     ++lane.events_executed;
-    if (streams) {
-      // Safe concurrently: this lane's events only carry streams homed on
-      // this lane (streams nest in lanes), so the stream cell and the TLS
-      // slot are single-writer. last_stream_ is deliberately not updated
-      // here -- it serves the merged-serial stabilization loop only.
-      int stream = stream_of_event(event);
-      ++streams_[static_cast<std::size_t>(stream)].events_executed;
-      detail::t_current_stream = stream;
-    }
+    // Safe concurrently: this lane's events only carry streams homed on
+    // this lane, so the stream cell and the TLS slot are single-writer.
+    // last_stream_ is deliberately not updated here -- it serves the
+    // merged-serial stabilization loop only.
+    const int stream_index = stream_of_event(event);
+    ++stream(stream_index).events_executed;
+    detail::t_current_stream = stream_index;
     detail::t_current_event_seq = event.seq;
     dispatch(lane, event);
   }

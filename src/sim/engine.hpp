@@ -16,41 +16,45 @@
 //   * Bounded initial channel content -- fault injection can preload each
 //     channel with up to CMAX arbitrary messages (see inject_garbage()).
 //
-// Lanes. The engine is organized as `lane_count()` partitions ("lanes"),
-// each owning an EventQueue, an Rng stream, a clock, per-type census
-// counters and a callback slab. The default engine has exactly one lane
-// and runs the classic serial loop; configure_lanes() splits the node
-// set across lanes (sim::ParallelEngine then executes conservative
-// min_delay-wide time windows with one worker thread per lane). Every
-// event's seq is striped as `lane_seq * lane_count + lane`, which keeps
-// the (at, seq) total order globally unique and independent of which
-// lane queue holds the event -- with one lane this reduces to the plain
-// insertion counter, so the serial engine is bit-identical to before.
+// Lanes. The engine is organized as `lane_count()` partitions ("lanes").
+// A lane owns what only its thread touches: an EventQueue, a clock, a seq
+// counter, a callback slab, a cross-lane outbox and its message/event
+// totals. The default engine has exactly one lane and runs the classic
+// serial loop; configure_lanes() splits the node set across lanes
+// (sim::ParallelEngine then executes conservative min_delay-wide time
+// windows with one worker thread per lane). Every event's seq is striped
+// as `lane_seq * lane_count + lane`, which keeps the (at, seq) total
+// order globally unique and independent of which lane queue holds the
+// event -- with one lane this reduces to the plain insertion counter.
 //
-// Parallel-safety contract (all of it single-writer, no locks):
-//   * a channel's FIFO ring, last_scheduled clamp and rng draws belong to
-//     the channel's source lane; cross-lane deliveries created inside a
-//     window park in the source lane's outbox and are merged into the
-//     destination queue at the window barrier (single-threaded);
-//   * per-lane counters may individually wrap (a lane delivers messages
-//     another lane sent) but their mod-2^64 sums are exact, and they are
-//     only summed between windows;
-//   * channel epochs and clear_channels() are barrier-only operations.
-//
-// Streams (multi-tenant fleets). configure_streams() overlays tenant
-// namespaces on the lanes: each stream owns its own delay rng and
-// per-type census cells, seeded independently of the engine seed, but no
-// seq counter -- every event still takes the lane rule above. The fleet
-// layer (api/fleet.hpp) maps one protocol instance ("tenant") to one
-// stream. A tenant's delay draws are then byte-identical to a standalone
+// Streams. Every node belongs to one stream, the namespace that owns the
+// delay rng and the per-type census cells of its traffic: a send draws
+// its delay from the channel's source stream and counts in that stream's
+// cells, a delivery decrements its destination stream's cell. A default
+// engine has one stream per lane, seeded as its lanes (stream 0 on the
+// engine seed, stream i >= 1 on a salted split), so its streams are its
+// lanes. configure_streams() replaces them with one stream per tenant
+// for fleets (api/fleet.hpp), each seeded independently of the engine
+// seed. A tenant's delay draws are then byte-identical to a standalone
 // engine running that tenant alone with the stream's seed, and since the
 // tenant pushes its events in the same relative order as that twin, its
 // (at, seq) sub-order is too; only how different tenants interleave
-// within one tick depends on the fleet. Streams must nest inside lanes
-// (every node of a stream on one lane, channels never crossing streams),
-// which preserves the single-writer contract above verbatim and keeps a
-// serial fleet's calendar buckets in push (= seq) order. Engines that
-// never call configure_streams() take none of these paths.
+// within one tick depends on the fleet. Streams own no seq counter and
+// must nest inside lanes (every node of a stream on one lane). Tenant
+// streams never share a channel, so each tenant's cells are exact on
+// their own; a default engine's cells are only sum-exact (a lane-
+// crossing message counts up in one stream and down in another).
+//
+// Parallel-safety contract (all of it single-writer, no locks):
+//   * a channel's FIFO ring, last_scheduled clamp and source-stream rng
+//     draws belong to the channel's source lane; cross-lane deliveries
+//     created inside a window park in the source lane's outbox and are
+//     merged into the destination queue at the window barrier (single-
+//     threaded);
+//   * an event only runs on the home lane of its stream, so a stream's
+//     cells have one writer; counters may individually wrap but their
+//     mod-2^64 sums are exact, and they are only summed between windows;
+//   * channel epochs and clear_channels() are barrier-only operations.
 #pragma once
 
 #include <algorithm>
@@ -78,13 +82,13 @@ namespace detail {
 // Lane executing on this thread: a parallel-window worker sets it for the
 // duration of its window, the merged-serial loop for the duration of one
 // event dispatch. 0 everywhere else (the serial lane). Header-visible so
-// Engine::current_lane() inlines to a single TLS load on the per-delta
-// census path.
+// Engine::current_lane() inlines to a single TLS load.
 inline thread_local int t_current_lane = 0;
-// Stream (tenant) of the event executing on this thread. Only maintained
-// by engines with explicit streams (configure_streams); 0 everywhere
-// else. Same inlining rationale as t_current_lane: the tenant-axis
-// census routes every participant delta through Engine::current_stream().
+// Stream of the event executing on this thread. Maintained by every
+// engine with more than one stream; 0 outside event dispatch (unless a
+// ScopedStream says otherwise). Same inlining rationale as
+// t_current_lane: the census routes every participant delta through
+// Engine::current_stream().
 inline thread_local int t_current_stream = 0;
 // Global (at, seq) sequence number of the event executing on this
 // thread, 0 outside event dispatch. Window-safe observers stamp their
@@ -96,10 +100,9 @@ inline thread_local std::uint64_t t_current_event_seq = 0;
 /// Routes *out-of-event* work to one stream's census cells. Management-
 /// plane operations that mutate processes outside event execution --
 /// fault injection, epoch-cut drains, client-driven releases -- fire
-/// participant deltas that the tenant-axis census attributes to
+/// participant deltas that the census attributes to
 /// Engine::current_stream(); wrapping the operation in a ScopedStream
 /// makes that attribution explicit instead of defaulting to stream 0.
-/// Meaningless (but harmless) for engines without explicit streams.
 class ScopedStream {
  public:
   explicit ScopedStream(int stream) : saved_(detail::t_current_stream) {
@@ -296,8 +299,10 @@ class Engine {
 
   /// Splits the node set into `lane_count` lanes: node v belongs to lane
   /// `node_lane[v]`. Must be called after wiring and before start();
-  /// resets all lane-local state (queues must be empty). Lane 0 keeps the
-  /// engine's seed stream, so a 1-lane configuration is the serial engine.
+  /// resets all lane-local state (queues must be empty) and rebuilds the
+  /// default streams, one per lane: stream 0 keeps the engine's seed, so
+  /// a 1-lane configuration is the serial engine. A fleet calls
+  /// configure_streams after it.
   void configure_lanes(const std::vector<int>& node_lane, int lane_count);
 
   int lane_count() const { return static_cast<int>(lanes_.size()); }
@@ -310,54 +315,49 @@ class Engine {
 
   /// Lane executing on the calling thread: the worker's lane inside a
   /// parallel window, the dispatching lane in the merged-serial loop, 0
-  /// on any other thread. CensusTracker routes its per-lane accumulators
-  /// through this on every participant delta, so the read must inline
-  /// (one TLS load, no cross-TU call).
+  /// on any other thread. Window-safe observers buffer per lane through
+  /// this on every callback, so the read must inline (one TLS load, no
+  /// cross-TU call).
   static int current_lane() { return detail::t_current_lane; }
 
-  /// Most lanes any engine supports (sized so per-lane padded census
-  /// cells stay tiny; the partitioners clamp to it).
+  /// Most lanes any engine supports (sized so the census's padded cells
+  /// for a default engine's per-lane streams stay tiny; the partitioners
+  /// clamp to it).
   static constexpr int kMaxLanes = 16;
 
-  // -- streams (multi-tenant namespaces; see the file comment) ---------------
+  // -- streams (rng and census namespaces; see the file comment) -------------
 
-  /// Overlays explicit streams on the engine: node v belongs to stream
-  /// `node_stream[v]`, and stream s draws its channels' delays from its
-  /// own Rng(stream_seeds[s]) and counts their traffic in its own census
-  /// cells. Event seqs keep the lane rule. Must be called after wiring
-  /// (and after configure_lanes, if any) and before start(). Every stream
-  /// must nest inside one lane and no channel may cross streams -- that is
-  /// what keeps stream state single-writer and tenants causally
-  /// independent.
+  /// Replaces the default streams with tenant streams: node v belongs to
+  /// stream `node_stream[v]`, and stream s draws its channels' delays from
+  /// its own Rng(stream_seeds[s]) and counts their traffic in its own
+  /// census cells. Event seqs keep the lane rule. Must be called after
+  /// wiring and configure_lanes, and before start(). Every stream must
+  /// nest inside one lane and no channel may cross streams -- that is what
+  /// keeps stream state single-writer and tenants causally independent.
   void configure_streams(const std::vector<int>& node_stream,
                          const std::vector<std::uint64_t>& stream_seeds);
 
-  /// Number of stream namespaces: the explicit streams, or lane_count()
-  /// when none were configured (the default engine's per-lane census
-  /// cells and rngs play the stream role).
-  int stream_count() const {
-    return streams_explicit_ ? static_cast<int>(streams_.size())
-                             : lane_count();
-  }
+  /// Number of streams: lane_count() for a default engine, the tenant
+  /// count after configure_streams.
+  int stream_count() const { return static_cast<int>(streams_.size()); }
 
-  bool has_explicit_streams() const { return streams_explicit_; }
-
-  /// Stream of `node` (the node's lane for engines without explicit
-  /// streams).
+  /// Stream of `node` (0 for unconfigured engines).
   int stream_of(NodeId node) const {
-    return streams_explicit_ ? node_stream_[static_cast<std::size_t>(node)]
-                             : lane_of(node);
+    return node_stream_.empty()
+               ? 0
+               : node_stream_[static_cast<std::size_t>(node)];
   }
 
-  /// Stream of the event executing on the calling thread (0 unless the
-  /// engine has explicit streams). The tenant-axis census routes its
-  /// per-tenant accumulators through this on every participant delta, so
-  /// the read must inline (one TLS load, no cross-TU call).
+  /// Stream of the event executing on the calling thread (0 on a single-
+  /// stream engine). The census routes its per-stream accumulators
+  /// through this on every participant delta, so the read must inline
+  /// (one TLS load, no cross-TU call).
   static int current_stream() { return detail::t_current_stream; }
 
   /// Stream of the most recently executed merged-serial event (0 before
-  /// any). Lets a fleet's stabilization loop re-check only the tenant the
-  /// last event could have perturbed instead of scanning all R tenants.
+  /// any, and always 0 on a single-stream engine). Lets a fleet's
+  /// stabilization loop re-check only the tenant the last event could
+  /// have perturbed instead of scanning all R tenants.
   int last_stream() const { return last_stream_; }
 
   // -- execution ------------------------------------------------------------
@@ -467,7 +467,7 @@ class Engine {
 
   /// Attaches a ChaosModel over all channels. Must run after wiring
   /// (and configure_lanes/configure_streams, if any) and before start();
-  /// runs once. Engines without explicit streams switch to the chaos
+  /// runs once. Engines with default streams switch to the chaos
   /// sequencing described in chaos.hpp, which makes the whole trajectory
   /// lane-count-independent; engines that never call this take the stock
   /// code paths bit for bit.
@@ -526,11 +526,12 @@ class Engine {
   /// workloads / applications to model request arrivals and CS completion).
   void schedule(SimTime delay, std::function<void()> fn);
 
-  /// schedule() with an explicit stream, for callers outside any event
-  /// context (a workload driver arming a tenant's first think timer from
-  /// the main thread). Engines without explicit streams ignore `stream`
-  /// and behave exactly like schedule(); with streams, the callback runs
-  /// in `stream` and is queued (and sequenced) on its home lane.
+  /// schedule() in an explicit stream, for callers that act for a node
+  /// other than the executing one (a workload driver arming a node's
+  /// first think timer from the main thread). The callback runs in
+  /// `stream` and is queued (and sequenced) on the stream's home lane;
+  /// schedule() is this with the executing stream. Inside a window only
+  /// the executing lane may be pushed to (CheckFailure otherwise).
   void schedule_in_stream(int stream, SimTime delay,
                           std::function<void()> fn);
 
@@ -549,8 +550,6 @@ class Engine {
   /// tenant's channels contiguous, so a single-tenant epoch cut clears
   /// O(tenant) channels and decrements exactly that tenant's per-type
   /// counters; other tenants' traffic, clamps and counters are untouched.
-  /// Requires explicit streams (the per-message decrement needs the
-  /// channel's stream cell).
   void clear_channel_range(int begin, int end);
 
   int channel_count() const { return static_cast<int>(channels_.size()); }
@@ -582,23 +581,18 @@ class Engine {
   /// inline on the send/inject/deliver/clear paths (no walk, no callback).
   /// Exact for 0 <= type < kTrackedMessageTypes (covers every protocol
   /// token type); out-of-range types alias the junk bucket 0. Summed over
-  /// lanes (each addend may wrap; the sum is exact).
+  /// streams (each addend may wrap; the sum is exact).
   std::uint64_t in_flight_of_type(std::int32_t type) const {
     std::size_t b = type_bucket(type);
     std::uint64_t total = 0;
-    if (streams_explicit_) {
-      for (const Stream& s : streams_) total += s.in_flight_by_type[b];
-    } else {
-      for (const Lane& lane : lanes_) total += lane.in_flight_by_type[b];
-    }
+    for (const Stream& s : streams_) total += s.in_flight_by_type[b];
     return total;
   }
 
-  /// in_flight_of_type restricted to one stream. Exact per stream (not
-  /// merely sum-exact): with explicit streams the increment, the delivery
-  /// decrement and the range-clear decrement all land in the channel's
-  /// stream cell, so a tenant's census reads one cell in O(1) without
-  /// scanning the other tenants. Requires explicit streams.
+  /// in_flight_of_type restricted to one stream. Exact for a tenant
+  /// stream (its channels start and end in it), so a tenant's census
+  /// reads one cell in O(1) without scanning the other tenants; a default
+  /// engine's per-lane cells are only sum-exact.
   std::uint64_t in_flight_of_type_in(int stream, std::int32_t type) const {
     return streams_[static_cast<std::size_t>(stream)]
         .in_flight_by_type[type_bucket(type)];
@@ -615,33 +609,30 @@ class Engine {
   std::uint64_t sent_of_type(std::int32_t type) const {
     std::size_t b = type_bucket(type);
     std::uint64_t total = 0;
-    if (streams_explicit_) {
-      for (const Stream& s : streams_) total += s.sent_by_type[b];
-    } else {
-      for (const Lane& lane : lanes_) total += lane.sent_by_type[b];
-    }
+    for (const Stream& s : streams_) total += s.sent_by_type[b];
     return total;
   }
 
   /// sent_of_type restricted to one stream (per-tenant message-overhead
-  /// accounting). Requires explicit streams.
+  /// accounting).
   std::uint64_t sent_of_type_in(int stream, std::int32_t type) const {
     return streams_[static_cast<std::size_t>(stream)]
         .sent_by_type[type_bucket(type)];
   }
 
   /// Events executed on behalf of one stream (per-tenant recovery-cost
-  /// accounting). Requires explicit streams.
+  /// accounting). The serial single-stream loop keeps no per-stream
+  /// count, so one stream reads the engine total.
   std::uint64_t events_executed_in(int stream) const {
-    return streams_[static_cast<std::size_t>(stream)].events_executed;
+    return streams_.size() == 1
+               ? events_executed()
+               : streams_[static_cast<std::size_t>(stream)].events_executed;
   }
 
   /// Per-channel in-flight count for (from, from_channel).
   int channel_backlog(NodeId from, int from_channel) const;
 
   void add_observer(SimObserver* observer) { observers_.push_back(observer); }
-
-  support::Rng& rng() { return lanes_[0].rng; }
 
   /// Event-core counters (see EngineStats).
   EngineStats stats() const;
@@ -660,9 +651,11 @@ class Engine {
     // and pushes the ring; the destination lane pops it at delivery.
     std::int32_t src_lane = 0;
     std::int32_t dst_lane = 0;
-    // Stream (== src stream == dst stream: channels may not cross
-    // streams). 0 until configure_streams, unused before it.
-    std::int32_t stream = 0;
+    // Streams of the endpoints: a send draws from and counts in the
+    // source stream, a delivery uncounts in the destination stream (the
+    // same stream for tenant streams, the endpoint lanes by default).
+    std::int32_t src_stream = 0;
+    std::int32_t dst_stream = 0;
     MessageRing in_flight;
   };
 
@@ -674,13 +667,11 @@ class Engine {
     Message msg;
   };
 
-  /// One partition: queue, rng stream, clock, counters, callback slab.
+  /// One partition: queue, clock, seq counter, totals, callback slab.
   struct Lane {
-    Lane(SchedulerKind kind, support::Rng lane_rng)
-        : queue(kind), rng(lane_rng) {}
+    explicit Lane(SchedulerKind kind) : queue(kind) {}
 
     EventQueue queue;
-    support::Rng rng;
     SimTime now = 0;
     std::uint64_t next_seq = 0;
 
@@ -691,8 +682,6 @@ class Engine {
     std::uint64_t pending_callbacks = 0;
     std::uint64_t callbacks_scheduled = 0;
     std::uint64_t callback_slots_created = 0;
-    std::array<std::uint64_t, kTrackedMessageTypes> in_flight_by_type{};
-    std::array<std::uint64_t, kTrackedMessageTypes> sent_by_type{};
 
     // Callback slab: slots are recycled through a free list, so
     // steady-state scheduling constructs no new slots (the
@@ -703,12 +692,13 @@ class Engine {
     std::vector<Outbound> outbox;
   };
 
-  /// One explicit stream (tenant): its own rng and per-type census cells
-  /// (its events are sequenced by their lane). Single writer: all of a
-  /// stream's nodes live on one lane, so only that lane's thread ever
-  /// touches the stream.
+  /// One stream (a lane's by default, a tenant's in a fleet): its delay
+  /// rng and per-type census cells (its events are sequenced by their
+  /// lane). Single writer: all of a stream's nodes live on its home lane,
+  /// so only that lane's thread ever touches the stream.
   struct Stream {
-    explicit Stream(support::Rng stream_rng) : rng(stream_rng) {}
+    Stream(support::Rng stream_rng, std::int32_t lane)
+        : rng(stream_rng), home_lane(lane) {}
 
     support::Rng rng;
     std::uint64_t events_executed = 0;
@@ -738,18 +728,13 @@ class Engine {
            static_cast<SimTime>(
                rng.next_below(delays_.max_delay - delays_.min_delay + 1));
   }
-  /// In-flight census cells a channel's messages count in: its stream's
-  /// with explicit streams (exact per tenant), else `lane`'s.
-  std::array<std::uint64_t, kTrackedMessageTypes>& in_flight_cells(
-      const DirectedChannel& dc, Lane& lane) {
-    return streams_explicit_
-               ? streams_[static_cast<std::size_t>(dc.stream)]
-                     .in_flight_by_type
-               : lane.in_flight_by_type;
+  Stream& stream(std::int32_t index) {
+    return streams_[static_cast<std::size_t>(index)];
   }
-  /// Stream an event executes in (explicit streams only): the channel's
-  /// for deliveries and chaos flushes, the node's for timers, and the
-  /// one schedule_callback stored in `target` for callbacks.
+  /// Stream an event executes in, always one homed on the lane whose
+  /// queue holds the event: the destination's for deliveries, the
+  /// source's for chaos flushes, the node's for timers and the one
+  /// stored in `target` for callbacks.
   int stream_of_event(const Event& event) const;
   void boot();  // out-of-line once-only part of start()
   void size_ring_windows();
@@ -758,7 +743,6 @@ class Engine {
   void execute(Lane& lane, int lane_index, const Event& event);
   /// Pops the global (at, seq) minimum with at <= t across all lanes.
   bool pop_next(SimTime t, Event* out, int* lane_out);
-  void push_event(Event event, int seq_lane, int queue_lane);
   void schedule_delivery(int channel_index, const Message& msg);
   // Chaos send path (schedule_delivery with an attached ChaosModel):
   // decide drop/duplicate/hold/jitter from the link rng, then mature the
@@ -778,8 +762,6 @@ class Engine {
   /// order (the shared tail of the two entry points above).
   template <typename Due>
   void chaos_release(int channel_index, Due is_due);
-  void schedule_callback(int stream, int lane_index, SimTime delay,
-                         std::function<void()> fn);
   // Observer fan-out, out of line: the hot send/deliver paths only test
   // observers_.empty(), so unmonitored runs pay no indirect call (and no
   // loop setup) per event.
@@ -795,12 +777,14 @@ class Engine {
 
   std::vector<Lane> lanes_;        // >= 1; lanes_[0] is the serial lane
   std::vector<std::int32_t> node_lane_;  // empty until configure_lanes
-
-  // Explicit streams (empty / false until configure_streams).
-  bool streams_explicit_ = false;
-  std::vector<Stream> streams_;
-  std::vector<std::int32_t> node_stream_;
+  std::vector<Stream> streams_;    // >= 1; one per lane until configure_streams
+  std::vector<std::int32_t> node_stream_;  // empty until configured
   int last_stream_ = 0;
+  // The one choice that still tells a fleet from a plain engine: under
+  // chaos, default streams take chaos sequencing (chaos.hpp) while tenant
+  // streams keep their stream delays and lane seqs. configure_streams
+  // clears it; only the chaos paths read it.
+  bool chaos_sequencing_ = true;
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<DirectedChannel> channels_;

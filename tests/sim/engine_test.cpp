@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "support/check.hpp"
@@ -336,6 +337,105 @@ TEST(Engine, TimeAdvancesMonotonically) {
     EXPECT_GE(net.engine.now(), last);
     last = net.engine.now();
   }
+}
+
+/// Three nodes, pairwise linked, one per lane of a 3-lane engine. Node
+/// channels: 0<->1 on (0,0)/(1,0), 0<->2 on (0,1)/(2,0), 1<->2 on
+/// (1,1)/(2,1); every node echoes on the channel it received on.
+struct LaneTriangle {
+  LaneTriangle() : engine(DelayModel{1, 9}, 7) {
+    for (int v = 0; v < 3; ++v) {
+      auto node = std::make_unique<Recorder>(/*echo=*/true);
+      nodes.push_back(node.get());
+      engine.add_process(std::move(node));
+    }
+    engine.connect(0, 0, 1, 0);
+    engine.connect(1, 0, 0, 0);
+    engine.connect(0, 1, 2, 0);
+    engine.connect(2, 0, 0, 1);
+    engine.connect(1, 1, 2, 1);
+    engine.connect(2, 1, 1, 1);
+    engine.configure_lanes({0, 1, 2}, 3);
+  }
+  Engine engine;
+  std::vector<Recorder*> nodes;
+};
+
+TEST(Engine, LaneStreamsSumToTheEngineTotals) {
+  // A default engine's streams are its lanes: one each, and the per-
+  // stream accessors (each cell may wrap) sum to the engine totals.
+  LaneTriangle net;
+  ASSERT_EQ(net.engine.stream_count(), 3);
+  net.engine.start();
+  for (int v = 0; v < 3; ++v) {
+    Message msg = tagged(40);
+    msg.type = 1 + v % 2;
+    net.nodes[static_cast<std::size_t>(v)]->send(0, msg);
+    net.nodes[static_cast<std::size_t>(v)]->send(1, msg);
+  }
+  ASSERT_EQ(net.engine.run_events(90), 90u);
+  ASSERT_GT(net.engine.in_flight_messages(), 0u) << "must stop mid-run";
+  std::uint64_t events = 0;
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(net.engine.stream_of(s), s);
+    events += net.engine.events_executed_in(s);
+  }
+  EXPECT_EQ(events, net.engine.events_executed());
+  for (std::int32_t type : {1, 2}) {
+    std::uint64_t sent = 0;
+    std::uint64_t in_flight = 0;
+    for (int s = 0; s < 3; ++s) {
+      sent += net.engine.sent_of_type_in(s, type);
+      in_flight += net.engine.in_flight_of_type_in(s, type);
+    }
+    EXPECT_GT(net.engine.sent_of_type(type), 0u);
+    EXPECT_EQ(sent, net.engine.sent_of_type(type)) << "type " << type;
+    EXPECT_EQ(in_flight, net.engine.in_flight_of_type(type))
+        << "type " << type;
+  }
+}
+
+TEST(Engine, OutOfEventCallbackRunsOnItsStreamsLane) {
+  // A callback scheduled from outside any event queues on its stream's
+  // home lane -- for a default engine, the lane of that number.
+  LaneTriangle net;
+  int lane = -1;
+  int stream = -1;
+  net.engine.schedule_in_stream(2, 5, [&] {
+    lane = Engine::current_lane();
+    stream = Engine::current_stream();
+  });
+  net.engine.run_until(10);
+  EXPECT_EQ(lane, 2);
+  EXPECT_EQ(stream, 2);
+  EXPECT_THROW(net.engine.schedule_in_stream(3, 1, [] {}),
+               std::invalid_argument);
+}
+
+TEST(Engine, CrossLanePushInsideAWindowFails) {
+  // Inside a window another lane's queue belongs to another thread: a
+  // callback pushed there must fail loudly, not race. The window runs
+  // on its own thread so the thrown-through TLS context dies with it.
+  LaneTriangle net;
+  bool own_lane_ok = false;
+  net.engine.schedule_in_stream(0, 1, [&] {
+    net.engine.schedule_in_stream(0, 1, [] {});
+    own_lane_ok = true;
+    net.engine.schedule_in_stream(1, 1, [] {});
+  });
+  net.engine.start();
+  net.engine.begin_window(1);
+  bool threw = false;
+  std::thread worker([&] {
+    try {
+      net.engine.run_lane_window(0, 1);
+    } catch (const support::CheckFailure&) {
+      threw = true;
+    }
+  });
+  worker.join();
+  EXPECT_TRUE(own_lane_ok);
+  EXPECT_TRUE(threw);
 }
 
 }  // namespace
