@@ -73,10 +73,10 @@ FleetSystem::FleetSystem(FleetConfig config)
   const int total = node_begin_.back();
 
   // Lanes partition *tenants* (a tenant never spans lanes -- that is what
-  // keeps every stream single-writer): contiguous tenant blocks balanced
-  // by node count.
-  const int lanes = std::clamp(config_.threads, 1,
-                               std::min(tenants, sim::Engine::kMaxLanes));
+  // keeps every stream single-writer): min(R, kMaxLanes) contiguous
+  // tenant blocks balanced by node count, whatever the thread count. No
+  // channel crosses them, so the engine runs them one after another.
+  const int lanes = std::min(tenants, sim::Engine::kMaxLanes);
   tenant_lane_.assign(static_cast<std::size_t>(tenants), 0);
   if (lanes > 1) {
     long long filled = 0;
@@ -137,8 +137,13 @@ FleetSystem::FleetSystem(FleetConfig config)
                         sim::kTimeInfinity);
   recoveries_.assign(static_cast<std::size_t>(tenants), 0);
 
-  if (lanes > 1) {
-    parallel_ = std::make_unique<sim::ParallelEngine>(engine());
+  probe_ok_.assign(static_cast<std::size_t>(tenants), 0);
+  lane_edges_.resize(static_cast<std::size_t>(lanes));
+
+  // Worker threads each run a contiguous block of lanes.
+  const int threads = std::clamp(config_.threads, 1, lanes);
+  if (threads > 1) {
+    parallel_ = std::make_unique<sim::ParallelEngine>(engine(), threads);
   }
 }
 
@@ -176,6 +181,114 @@ void FleetSystem::spread_seed_tokens(int tenant) {
   }
 }
 
+bool FleetSystem::apply_tenant_edge(int tenant, bool ok, sim::SimTime at) {
+  const std::size_t t = static_cast<std::size_t>(tenant);
+  if (ok != (tenant_ok_[t] != 0)) {
+    tenant_ok_[t] = ok ? 1 : 0;
+    incorrect_tenants_ += ok ? -1 : 1;
+    correct_since_[t] = ok ? at : sim::kTimeInfinity;
+  }
+  return incorrect_tenants_ == 0;
+}
+
+void FleetSystem::after_event(int lane, int stream, const sim::Event& event) {
+  // Runs on the lane's own thread: the tenant's census cells and its
+  // probe_ok_ entry belong to this lane only.
+  const bool ok = census_tracker().correct_of(stream);
+  char& seen = probe_ok_[static_cast<std::size_t>(stream)];
+  if (ok != (seen != 0)) {
+    seen = ok ? 1 : 0;
+    lane_edges_[static_cast<std::size_t>(lane)].push_back(
+        TenantEdge{event.at, event.seq, stream, ok});
+  }
+}
+
+sim::SimTime FleetSystem::run_until_stabilized(sim::SimTime deadline,
+                                               sim::SimTime poll,
+                                               int consecutive) {
+  KLEX_REQUIRE(poll > 0, "confirmation granularity must be positive");
+  KLEX_REQUIRE(consecutive >= 1, "need a non-empty confirmation window");
+  sim::Engine& eng = engine();
+  eng.start();
+  if (!eng.lanes_closed() || eng.has_blocking_observers()) {
+    return SystemBase::run_until_stabilized(deadline, poll, consecutive);
+  }
+  const sim::SimTime window = poll * static_cast<sim::SimTime>(consecutive);
+
+  // The base loop, with its one-event steps batched into chunks that run
+  // the lanes one after another. A chunk never reaches tick S + W for
+  // any candidate start S of a confirmed stretch (S is at or after the
+  // chunk's first event), nor the deadline, so within a chunk the base
+  // loop could only have left through "correct, but S + W > deadline".
+  // The lane probes log each tenant legitimacy edge; merged by (at, seq)
+  // -- the merged-serial order -- and replayed through the bookkeeping,
+  // they give the base loop's exact edges, stabilization times and exit.
+  // Ticks S + W and deadline themselves are stepped like the base loop.
+  bool correct = census_correct(/*resync_probe=*/true);
+  sim::SimTime since = correct ? eng.now() : sim::kTimeInfinity;
+  probe_ok_ = tenant_ok_;
+  bool failed = false;
+  while (!failed) {
+    const sim::SimTime next = eng.next_event_time();
+    sim::SimTime last;
+    if (correct) {
+      if (eng.now() >= since + window) return since;
+      if (since + window > deadline) break;
+      if (next > since + window) {
+        eng.run_until(since + window);
+        return since;
+      }
+      last = since + window - 1;
+    } else {
+      if (next > deadline || next == sim::kTimeInfinity ||
+          eng.now() >= deadline) {
+        break;
+      }
+      last = std::min(deadline - 1, next + window - 1);
+    }
+    if (next > last) {
+      // The next event is due at S + W or at the deadline: one merged
+      // step, probed as the base loop probes it.
+      eng.step();
+      const bool now_correct = census_correct(/*resync_probe=*/false);
+      if (now_correct && !correct) since = eng.now();
+      correct = now_correct;
+      const std::size_t t = static_cast<std::size_t>(eng.last_stream());
+      probe_ok_[t] = tenant_ok_[t];
+      continue;
+    }
+    last = std::min(last, next + eng.bucket_window() - 1);
+    eng.begin_window(next);
+    for (int lane = 0; lane < eng.lane_count(); ++lane) {
+      lane_edges_[static_cast<std::size_t>(lane)].clear();
+      eng.run_lane_window(lane, last, this);
+    }
+    eng.end_window();
+    eng.sync_lanes_to(last);
+
+    merged_edges_.clear();
+    for (const std::vector<TenantEdge>& edges : lane_edges_) {
+      merged_edges_.insert(merged_edges_.end(), edges.begin(), edges.end());
+    }
+    std::sort(merged_edges_.begin(), merged_edges_.end(),
+              [](const TenantEdge& a, const TenantEdge& b) {
+                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+              });
+    for (const TenantEdge& edge : merged_edges_) {
+      const bool now_correct = apply_tenant_edge(edge.tenant, edge.ok, edge.at);
+      if (now_correct && !correct) {
+        since = edge.at;
+        // The base loop stops probing here; later edges go unrecorded.
+        failed = since + window > deadline;
+      }
+      correct = now_correct;
+      if (failed) break;
+    }
+  }
+  if (eng.now() < deadline) eng.run_until(deadline);
+  return sim::kTimeInfinity;
+}
+
 bool FleetSystem::census_correct(bool resync_probe) {
   if (resync_probe) {
     // Anything (boot, fault injection, a recovery drain) may have moved
@@ -198,14 +311,8 @@ bool FleetSystem::census_correct(bool resync_probe) {
   // are causally independent, so only the last executed event's tenant
   // can have crossed the legitimacy edge. O(1), never scans the fleet.
   const int t = engine().last_stream();
-  const bool ok = census_tracker().correct_of(t);
-  if (ok != (tenant_ok_[static_cast<std::size_t>(t)] != 0)) {
-    tenant_ok_[static_cast<std::size_t>(t)] = ok ? 1 : 0;
-    incorrect_tenants_ += ok ? -1 : 1;
-    correct_since_[static_cast<std::size_t>(t)] =
-        ok ? engine().now() : sim::kTimeInfinity;
-  }
-  return incorrect_tenants_ == 0;
+  return apply_tenant_edge(t, census_tracker().correct_of(t),
+                           engine().now());
 }
 
 void FleetSystem::on_clients_created(ClientPool& pool) {

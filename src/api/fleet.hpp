@@ -33,10 +33,21 @@
 //     O(tenant size). A fault in tenant a leaves every other tenant's
 //     census correct and its recovery count at zero.
 //
-// Lanes partition tenants (each tenant entirely on one lane --
-// tenant-contiguous blocks balanced by node count), so the parallel
-// engine's single-writer contract holds per stream with zero new
-// synchronization.
+// Lanes are tenant blocks: min(R, Engine::kMaxLanes) contiguous blocks
+// of whole tenants, balanced by node count, whatever the thread count.
+// No channel crosses a block, so every lane is causally closed and the
+// engine runs the lanes one after another (Engine::lanes_closed) instead
+// of interleaving the whole fleet by time; run_until_stabilized does the
+// same and still reports the merged-serial loop's exact result. Threads
+// are workers: with threads(P) > 1 a ParallelEngine runs P contiguous
+// blocks of lanes concurrently, and the single-writer contract holds per
+// stream with zero new synchronization.
+//
+// Listeners and observers see each tenant's calls in that tenant's own
+// (at, seq) order, but the lanes one after another, not interleaved by
+// time: a listener that needs one global time order across tenants must
+// be a blocking SimObserver (which keeps the merged-serial loop) or keep
+// its state per tenant.
 //
 // Construct directly from FleetConfig or through
 // SystemBuilder::fleet(R).build() (homogeneous tenants); client sessions
@@ -79,13 +90,15 @@ struct FleetConfig {
   /// Seed each tenant's ℓ resources spread along its own Euler tour
   /// (see SystemConfig::spread_tokens).
   bool spread_tokens = false;
-  /// Worker lanes; clamped to [1, min(R, Engine::kMaxLanes)] -- a tenant
-  /// never spans lanes.
+  /// Worker threads; clamped to [1, min(R, Engine::kMaxLanes)]. Each
+  /// runs a contiguous block of the fleet's lanes, which are always
+  /// min(R, kMaxLanes) tenant blocks (a tenant never spans lanes), so
+  /// the thread count never changes a trajectory.
   int threads = 1;
   sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
 };
 
-class FleetSystem : public SystemBase {
+class FleetSystem : public SystemBase, private sim::Engine::LaneProbe {
  public:
   explicit FleetSystem(FleetConfig config);
 
@@ -118,7 +131,7 @@ class FleetSystem : public SystemBase {
   const core::Params& tenant_params(int tenant) const {
     return tenant_params_[static_cast<std::size_t>(tenant)];
   }
-  /// Worker lane tenant `tenant` runs on.
+  /// Lane (tenant block) tenant `tenant` runs on.
   int tenant_lane(int tenant) const {
     return tenant_lane_[static_cast<std::size_t>(tenant)];
   }
@@ -149,6 +162,17 @@ class FleetSystem : public SystemBase {
   std::uint64_t tenant_sent_of_type(int tenant, std::int32_t type) const {
     return engine().sent_of_type_in(tenant, type);
   }
+
+  // -- execution -------------------------------------------------------------
+  /// SystemBase::run_until_stabilized, run one lane after another: chunks
+  /// of lane-major execution whose tenant legitimacy edges are merged by
+  /// (at, seq) and replayed through the stabilization bookkeeping. The
+  /// result is exact -- the same returned time, tenant_stabilized_at and
+  /// engine state as the merged-serial loop, which a blocking observer
+  /// still gets.
+  sim::SimTime run_until_stabilized(sim::SimTime deadline,
+                                    sim::SimTime poll = 64,
+                                    int consecutive = 3) override;
 
   // -- per-tenant faults / recovery -------------------------------------------
   /// Transient fault scoped to one tenant: randomizes that tenant's
@@ -213,6 +237,22 @@ class FleetSystem : public SystemBase {
   proto::MessageDomains message_domains() const override;
 
  private:
+  /// One tenant legitimacy edge a lane probe saw: after the event
+  /// (at, seq), `tenant`'s census turned correct (`ok`) or incorrect.
+  struct TenantEdge {
+    sim::SimTime at = 0;
+    std::uint64_t seq = 0;
+    int tenant = 0;
+    bool ok = false;
+  };
+
+  /// Records `tenant` turning correct or not at `at` in the stabilization
+  /// bookkeeping (no-op without an edge); true when every tenant is
+  /// correct.
+  bool apply_tenant_edge(int tenant, bool ok, sim::SimTime at);
+  /// Lane probe of run_until_stabilized: logs the event's tenant edge.
+  void after_event(int lane, int stream, const sim::Event& event) override;
+
   const std::vector<TenantSpec>& specs() const { return config_.tenants; }
   proto::MessageDomains tenant_message_domains(int tenant) const;
   void spread_seed_tokens(int tenant);
@@ -232,6 +272,13 @@ class FleetSystem : public SystemBase {
   int incorrect_tenants_ = 0;
   std::vector<sim::SimTime> correct_since_;
   std::vector<std::int64_t> recoveries_;
+
+  // Lane-major stabilization: each tenant's legitimacy as its lane's
+  // probe last saw it (one writer per entry), the edges each lane logged
+  // in the current chunk, and their (at, seq) merge.
+  std::vector<char> probe_ok_;
+  std::vector<std::vector<TenantEdge>> lane_edges_;
+  std::vector<TenantEdge> merged_edges_;
 };
 
 }  // namespace klex

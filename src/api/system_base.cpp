@@ -239,10 +239,9 @@ bool SystemBase::admit(NodeId /*node*/, int need) const {
 }
 
 void SystemBase::run_until(sim::SimTime t) {
-  // The window executor falls back to the trajectory-identical
-  // merged-serial loop on its own when callbacks or blocking observers
-  // are live,
-  // so dispatching here never changes what happens -- only on how many
+  // The window executor falls back to the trajectory-identical engine
+  // loop on its own when callbacks or blocking observers are live, so
+  // dispatching here never changes what happens -- only on how many
   // threads.
   if (parallel_ != nullptr) {
     parallel_->run_until(t);

@@ -52,8 +52,10 @@ class SystemBase : public proto::RequestPort {
   sim::Engine& engine() { return engine_; }
   const sim::Engine& engine() const { return engine_; }
 
-  /// Worker lanes the engine was partitioned into (1 = serial).
-  int threads() const { return engine_.lane_count(); }
+  /// Worker threads running the engine (1 = serial). A plain system has
+  /// one lane per thread; a fleet has one lane per tenant block whatever
+  /// the thread count.
+  int threads() const { return parallel_ ? parallel_->threads() : 1; }
 
   /// The window executor driving run_until when threads() > 1; null for
   /// serial systems.

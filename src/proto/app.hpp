@@ -119,6 +119,9 @@ class ExclusionParticipant {
 
 /// Protocol lifecycle events, delivered synchronously at simulation time.
 /// Implementations must not re-enter the engine (they may schedule()).
+/// Calls arrive in each engine lane's own (at, seq) order; an engine
+/// whose lanes are closed (a fleet's tenant blocks) runs them one after
+/// another, so calls of different lanes are not interleaved by time.
 class Listener {
  public:
   virtual ~Listener() = default;

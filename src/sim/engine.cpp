@@ -225,6 +225,14 @@ void Engine::size_ring_windows() {
 void Engine::boot() {
   started_ = true;
   size_ring_windows();
+  // Closed lanes: several lanes and no channel between two of them.
+  // Chaos sequencing draws callback seqs from one engine-wide counter,
+  // so those engines keep the merged order.
+  lanes_closed_ = lanes_.size() > 1 && !(chaos_ && chaos_sequencing_) &&
+                  std::none_of(channels_.begin(), channels_.end(),
+                               [](const DirectedChannel& dc) {
+                                 return dc.src_lane != dc.dst_lane;
+                               });
   for (auto& process : processes_) {
     // Any participant delta fired from on_start lands in the node's own
     // stream cell (boot runs outside event execution, so the TLS stream
@@ -249,11 +257,17 @@ int Engine::channel_index_of(NodeId from, int from_channel) const {
 }
 
 void Engine::schedule_delivery(int channel_index, const Message& msg) {
+  DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
+  // Inside a window the channel's ring, clamp and stream rng belong to
+  // its source lane's thread.
+  KLEX_CHECK(!in_window_ || dc.src_lane == detail::t_current_lane,
+             "channel ", channel_index, " sends from lane ", dc.src_lane,
+             ", not the executing lane ", detail::t_current_lane,
+             " (cross-lane send inside a window)");
   if (chaos_) {
     chaos_send(channel_index, msg);
     return;
   }
-  DirectedChannel& dc = channels_[static_cast<std::size_t>(channel_index)];
   Lane& src = lanes_[static_cast<std::size_t>(dc.src_lane)];
   Stream& src_stream = stream(dc.src_stream);
   // A tenant's delays come from its stream, so its draws are independent
@@ -827,6 +841,10 @@ bool Engine::step() {
 
 void Engine::run_until(SimTime t) {
   start();
+  if (lanes_closed_ && !has_blocking_observers()) {
+    run_lanes_until(t);
+    return;
+  }
   Event event;
   int lane;
   while (pop_next(t, &event, &lane)) {
@@ -869,6 +887,26 @@ bool Engine::run_until_message_quiescence(std::uint64_t max_events) {
   return true;
 }
 
+void Engine::run_lanes_until(SimTime t) {
+  // Closed lanes share nothing, so each lane may run through a whole
+  // window before the next one starts; the window protocol keeps lane
+  // clocks, window-safe observers and the cross-lane checks as they are
+  // for threaded windows.
+  const SimTime cap = bucket_window();
+  // An empty engine's next event time is kTimeInfinity, which an
+  // infinite horizon would otherwise never leave behind.
+  for (SimTime start = next_event_time(); start <= t && start < kTimeInfinity;
+       start = next_event_time()) {
+    const SimTime last = std::min(t, start + cap - 1);
+    begin_window(start);
+    for (int lane = 0; lane < lane_count(); ++lane) {
+      run_lane_window(lane, last);
+    }
+    end_window();
+  }
+  sync_lanes_to(t);
+}
+
 // ---------------------------------------------------------------------------
 // Window protocol (see sim::ParallelEngine)
 // ---------------------------------------------------------------------------
@@ -883,7 +921,7 @@ void Engine::begin_window(SimTime start) {
   }
 }
 
-void Engine::run_lane_window(int lane_index, SimTime t) {
+void Engine::run_lane_window(int lane_index, SimTime t, LaneProbe* probe) {
   Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
   detail::t_current_lane = lane_index;
   Event event;
@@ -902,6 +940,7 @@ void Engine::run_lane_window(int lane_index, SimTime t) {
     detail::t_current_stream = stream_index;
     detail::t_current_event_seq = event.seq;
     dispatch(lane, event);
+    if (probe != nullptr) probe->after_event(lane_index, stream_index, event);
   }
   detail::t_current_event_seq = 0;
   detail::t_current_lane = 0;

@@ -21,11 +21,21 @@
 // counter, a callback slab, a cross-lane outbox and its message/event
 // totals. The default engine has exactly one lane and runs the classic
 // serial loop; configure_lanes() splits the node set across lanes
-// (sim::ParallelEngine then executes conservative min_delay-wide time
-// windows with one worker thread per lane). Every event's seq is striped
-// as `lane_seq * lane_count + lane`, which keeps the (at, seq) total
-// order globally unique and independent of which lane queue holds the
-// event -- with one lane this reduces to the plain insertion counter.
+// (sim::ParallelEngine then executes conservative time windows, each
+// worker thread running a contiguous block of lanes). Every event's seq
+// is striped as `lane_seq * lane_count + lane`, which keeps the (at, seq)
+// total order globally unique and independent of which lane queue holds
+// the event -- with one lane this reduces to the plain insertion counter.
+//
+// Closed lanes. When no channel crosses lanes (a fleet's lanes are
+// blocks of whole tenants), every lane is causally closed: nothing one
+// lane does can reach another. run_until() then runs the lanes one after
+// another, each through a window of up to bucket_window() ticks, instead
+// of interleaving all of them by time -- each lane's working set stays
+// small, and every lane's own (at, seq) order is exactly the one the
+// merged-serial loop gives it. Only the interleaving of different lanes
+// differs, so observers and listeners see each lane's calls in order but
+// the lanes one after another (a blocking observer keeps the merged loop).
 //
 // Streams. Every node belongs to one stream, the namespace that owns the
 // delay rng and the per-type census cells of its traffic: a send draws
@@ -325,6 +335,18 @@ class Engine {
   /// clamp to it).
   static constexpr int kMaxLanes = 16;
 
+  /// True once a started engine with more than one lane is known to have
+  /// no channel crossing lanes (recorded at start()): every lane is then
+  /// causally closed, and run_until() runs the lanes one after another.
+  bool lanes_closed() const { return lanes_closed_; }
+
+  /// Calendar ring window in ticks: the longest window the closed-lane
+  /// loops run a lane through at once, so the per-lane buffers of
+  /// window-safe observers stay bounded.
+  SimTime bucket_window() const {
+    return static_cast<SimTime>(lanes_[0].queue.bucket_window());
+  }
+
   // -- streams (rng and census namespaces; see the file comment) -------------
 
   /// Replaces the default streams with tenant streams: node v belongs to
@@ -374,7 +396,9 @@ class Engine {
   bool step();
 
   /// Runs until simulated time exceeds `t` (events at exactly `t` are
-  /// still executed) or the queue empties.
+  /// still executed) or the queue empties. On closed lanes without a
+  /// blocking observer the lanes run one after another (see the file
+  /// comment); otherwise this is the merged-serial loop.
   void run_until(SimTime t);
 
   /// Runs at most `max_events` events; returns the number executed.
@@ -406,9 +430,11 @@ class Engine {
   std::uint64_t in_flight_messages() const;
 
   /// Number of scheduled-but-unfired callbacks across all lanes. The
-  /// parallel engine refuses to run windows while any are pending
-  /// (workload callbacks may touch any node) and falls back to the
-  /// merged-serial loop, which is trajectory-identical.
+  /// parallel engine refuses to run threaded windows while any are
+  /// pending (a callback runs on its stream's lane, but its closure may
+  /// share state with other lanes' callbacks, as a workload driver's
+  /// totals do) and falls back to Engine::run_until, which is
+  /// trajectory-identical.
   std::uint64_t pending_callbacks() const;
 
   // -- window protocol (driven by sim::ParallelEngine) -----------------------
@@ -423,10 +449,20 @@ class Engine {
   /// cross-lane outbox mode.
   void begin_window(SimTime start);
 
+  /// Per-event hook for run_lane_window: called after each event the
+  /// lane executes, on that lane's thread, with the event's stream.
+  class LaneProbe {
+   public:
+    virtual void after_event(int lane, int stream, const Event& event) = 0;
+
+   protected:
+    ~LaneProbe() = default;
+  };
+
   /// Executes every pending event of `lane` with at <= `t` (the window
   /// end, exclusive, minus one). Thread-safe across distinct lanes while
-  /// a window is open.
-  void run_lane_window(int lane, SimTime t);
+  /// a window is open. `probe`, if any, sees every executed event.
+  void run_lane_window(int lane, SimTime t, LaneProbe* probe = nullptr);
 
   /// Closes the window: merges every lane outbox (in lane order) into
   /// the destination queues and channel rings. Single-threaded.
@@ -743,6 +779,9 @@ class Engine {
   void execute(Lane& lane, int lane_index, const Event& event);
   /// Pops the global (at, seq) minimum with at <= t across all lanes.
   bool pop_next(SimTime t, Event* out, int* lane_out);
+  /// run_until on closed lanes: windows of up to bucket_window() ticks,
+  /// each running every lane through it in turn.
+  void run_lanes_until(SimTime t);
   void schedule_delivery(int channel_index, const Message& msg);
   // Chaos send path (schedule_delivery with an attached ChaosModel):
   // decide drop/duplicate/hold/jitter from the link rng, then mature the
@@ -773,6 +812,7 @@ class Engine {
   SchedulerKind scheduler_kind_;
   bool started_ = false;
   bool in_window_ = false;
+  bool lanes_closed_ = false;  // set at boot (see lanes_closed())
   SimTime declared_timer_span_ = 0;
 
   std::vector<Lane> lanes_;        // >= 1; lanes_[0] is the serial lane

@@ -121,7 +121,13 @@ void EventQueue::ring_pop() {
   maybe_sort(bucket);
   if (++bucket.head == bucket.events.size()) {
     std::size_t index = static_cast<std::size_t>(cached_min_bucket_);
-    bucket.events.clear();  // keeps capacity: steady state reallocates nothing
+    // The drained storage goes to the spare pool, capacity intact: the
+    // next bucket to fill reuses it (steady state reallocates nothing),
+    // and only as many buffers exist as buckets are ever non-empty at
+    // once, not one per ring position.
+    bucket.events.clear();
+    spare_.emplace_back();
+    spare_.back().swap(bucket.events);
     bucket.head = 0;
     std::uint64_t& word = bits_[index >> 6];
     word &= ~(std::uint64_t{1} << (index & 63));
@@ -203,6 +209,10 @@ void EventQueue::push(const Event& event) {
   if (bucket.events.empty()) {
     bits_[index >> 6] |= std::uint64_t{1} << (index & 63);
     summary_ |= std::uint64_t{1} << (index >> 6);
+    if (!spare_.empty()) {
+      bucket.events.swap(spare_.back());  // most recently drained: warm
+      spare_.pop_back();
+    }
   } else if (event.seq < bucket.events.back().seq) {
     bucket.unsorted = true;  // cross-lane barrier merge; sorted lazily
   }

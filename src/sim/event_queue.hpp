@@ -222,6 +222,9 @@ class EventQueue {
   std::size_t group_count_ = kBucketCount / 64;
 
   mutable std::vector<Bucket> buckets_;     // bucket_count_ entries
+  // Storage of drained buckets, reused by the next bucket to fill (LIFO).
+  // An empty bucket owns no storage.
+  std::vector<std::vector<Event>> spare_;
   std::array<std::uint64_t, kMaxGroupCount> bits_{};
   std::uint64_t summary_ = 0;
 

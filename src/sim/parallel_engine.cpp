@@ -6,11 +6,15 @@
 
 namespace klex::sim {
 
-ParallelEngine::ParallelEngine(Engine& engine) : engine_(engine) {
-  int lanes = engine_.lane_count();
-  workers_.reserve(static_cast<std::size_t>(lanes > 0 ? lanes - 1 : 0));
-  for (int lane = 1; lane < lanes; ++lane) {
-    workers_.emplace_back([this, lane] { worker_main(lane); });
+ParallelEngine::ParallelEngine(Engine& engine, int workers) : engine_(engine) {
+  const int lanes = engine_.lane_count();
+  const int threads = workers <= 0 ? lanes : std::min(workers, lanes);
+  // Contiguous lane blocks, as even as the counts allow.
+  lane_begin_.reserve(static_cast<std::size_t>(threads) + 1);
+  for (int w = 0; w <= threads; ++w) lane_begin_.push_back(w * lanes / threads);
+  workers_.reserve(static_cast<std::size_t>(threads - 1));
+  for (int w = 1; w < threads; ++w) {
+    workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
@@ -23,7 +27,14 @@ ParallelEngine::~ParallelEngine() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ParallelEngine::worker_main(int lane) {
+void ParallelEngine::run_block(int worker, SimTime last) {
+  for (int lane = lane_begin_[static_cast<std::size_t>(worker)];
+       lane < lane_begin_[static_cast<std::size_t>(worker) + 1]; ++lane) {
+    engine_.run_lane_window(lane, last);
+  }
+}
+
+void ParallelEngine::worker_main(int worker) {
   std::uint64_t seen = 0;
   for (;;) {
     SimTime last;
@@ -35,7 +46,7 @@ void ParallelEngine::worker_main(int lane) {
       seen = generation_;
       last = window_last_;
     }
-    engine_.run_lane_window(lane, last);
+    run_block(worker, last);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--outstanding_ == 0) window_done_.notify_one();
@@ -46,16 +57,20 @@ void ParallelEngine::worker_main(int lane) {
 void ParallelEngine::run_until(SimTime t) {
   KLEX_REQUIRE(t < kTimeInfinity, "windowed runs need a finite horizon");
   engine_.start();
-  SimTime lookahead = engine_.delay_model().min_delay;
+  // Closed lanes never exchange a message, so only the observer-buffer
+  // cap bounds their windows.
+  const SimTime lookahead = engine_.lanes_closed()
+                                ? engine_.bucket_window()
+                                : engine_.delay_model().min_delay;
   bool observers_block =
       engine_.lane_count() > 1 && engine_.has_blocking_observers();
   for (;;) {
     if (observers_block || engine_.pending_callbacks() > 0) {
-      // Callbacks may touch any node and blocking observers share state
-      // across lanes; neither is window-safe. (Window-safe observers --
-      // lane-local buffers merged at the barrier -- do not force this
-      // path.) The merged-serial loop executes the exact same (at, seq)
-      // trajectory, just on one thread.
+      // Callback closures may share state across lanes and blocking
+      // observers do; neither is safe on concurrent threads. (Window-safe
+      // observers -- lane-local buffers merged at the barrier -- do not
+      // force this path.) The engine's own loop executes the exact same
+      // per-lane (at, seq) trajectory, just on one thread.
       ++stats_.merged_fallbacks;
       engine_.run_until(t);
       return;
@@ -77,7 +92,7 @@ void ParallelEngine::run_until(SimTime t) {
       ++generation_;
     }
     work_ready_.notify_all();
-    engine_.run_lane_window(0, window_last);
+    run_block(0, window_last);
     {
       std::unique_lock<std::mutex> lock(mu_);
       window_done_.wait(lock, [&] { return outstanding_ == 0; });

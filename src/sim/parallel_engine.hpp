@@ -5,17 +5,22 @@
 // conservative parallel discrete-event simulator needs. The loop:
 //
 //   W   = earliest pending event across all lanes
-//   end = min(W + min_delay, horizon + 1)
-//   every lane executes its events with timestamps in [W, end)
-//       concurrently (one worker thread per lane, lane 0 inline on the
+//   end = min(W + lookahead, horizon + 1)
+//   every lane executes its events with timestamps in [W, end); each
+//       worker thread runs a contiguous block of lanes one after
+//       another, the workers concurrently (worker 0 inline on the
 //       calling thread);
 //   barrier: cross-lane deliveries created inside the window are merged
 //       into their destination queues (Engine::end_window).
 //
-// Soundness: a delivery created at time s >= W is scheduled at
-// s + delay >= W + min_delay >= end, so no lane can receive an event
-// inside the very window that created it -- each lane's [W, end) slice
-// is causally closed and the merge at the barrier cannot be late.
+// Soundness: the lookahead is min_delay, so a delivery created at time
+// s >= W is scheduled at s + delay >= W + min_delay >= end, and no lane
+// can receive an event inside the very window that created it -- each
+// lane's [W, end) slice is causally closed and the merge at the barrier
+// cannot be late. On closed lanes (Engine::lanes_closed: no channel
+// crosses lanes, as in a fleet) nothing ever crosses a lane, so the
+// lookahead is the engine's bucket_window() instead, the same cap that
+// bounds window-safe observers' buffers in Engine::run_until.
 //
 // Determinism: per (seed, lane partition) the trajectory is a pure
 // function -- each lane executes its own events in (at, seq) order with
@@ -24,11 +29,12 @@
 // for the same partition. With one lane the loop degenerates to the
 // serial engine, bit for bit (pinned by parallel_differential_test).
 //
-// The window loop requires causal closure within a lane, which workload
-// callbacks (free-function events that may touch any node) and
-// *blocking* observers (shared mutable state) break; run_until falls
-// back to the trajectory-identical merged-serial loop while any are
-// present. Observers that declare themselves window_safe() -- lane-local
+// Threaded windows require that lanes share no mutable state, which
+// workload callbacks (closures that may share state across lanes, such
+// as a driver's totals) and *blocking* observers break; run_until then
+// falls back to the trajectory-identical Engine::run_until on the
+// calling thread (merged-serial, or one lane after another on closed
+// lanes). Observers that declare themselves window_safe() -- lane-local
 // record buffers merged at the window barrier, like the buffered
 // SafetyMonitor -- ride the windowed executor (they get
 // on_window_merge() after Engine::end_window).
@@ -47,11 +53,12 @@ namespace klex::sim {
 
 class ParallelEngine {
  public:
-  /// Binds to `engine` and spawns one persistent worker per lane beyond
-  /// the first (lane 0 always runs on the thread calling run_until).
-  /// The engine must outlive this object and must not be repartitioned
-  /// while bound.
-  explicit ParallelEngine(Engine& engine);
+  /// Binds to `engine` with `workers` threads (clamped to [1, lanes];
+  /// 0 = one per lane). Worker w runs a contiguous block of lanes; worker
+  /// 0 is the thread calling run_until, the others are persistent
+  /// threads. The engine must outlive this object and must not be
+  /// repartitioned while bound.
+  explicit ParallelEngine(Engine& engine, int workers = 0);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
@@ -74,8 +81,13 @@ class ParallelEngine {
 
   const WindowStats& window_stats() const { return stats_; }
 
+  /// Worker threads, the calling thread included.
+  int threads() const { return static_cast<int>(workers_.size()) + 1; }
+
  private:
-  void worker_main(int lane);
+  void worker_main(int worker);
+  /// Runs worker `worker`'s block of lanes through the open window.
+  void run_block(int worker, SimTime last);
 
   Engine& engine_;
   WindowStats stats_;
@@ -91,7 +103,9 @@ class ParallelEngine {
   int outstanding_ = 0;
   bool shutdown_ = false;
 
-  std::vector<std::thread> workers_;  // lanes 1..P-1
+  // Worker w runs lanes [lane_begin_[w], lane_begin_[w + 1]).
+  std::vector<int> lane_begin_;
+  std::vector<std::thread> workers_;  // workers 1..threads()-1
 };
 
 }  // namespace klex::sim

@@ -65,11 +65,16 @@ TEST(FleetSystemTest, GeometryMapsTenantsToContiguousRanges) {
   EXPECT_EQ(fleet.k(), 2);
   EXPECT_EQ(fleet.l(), 2 + 4 + 3);
 
-  // Serial fleet: everyone on lane 0.
+  // Serial fleet: one worker, but still one lane per tenant (fewer
+  // tenants than Engine::kMaxLanes), and no channel crosses them.
   EXPECT_EQ(fleet.threads(), 1);
+  EXPECT_EQ(fleet.parallel_engine(), nullptr);
+  EXPECT_EQ(fleet.engine().lane_count(), 3);
   for (int t = 0; t < fleet.tenant_count(); ++t) {
-    EXPECT_EQ(fleet.tenant_lane(t), 0);
+    EXPECT_EQ(fleet.tenant_lane(t), t);
   }
+  fleet.engine().start();
+  EXPECT_TRUE(fleet.engine().lanes_closed());
 
   // Clients are stamped with their tenant at pool creation.
   ClientPool& pool = fleet.clients();
@@ -81,25 +86,39 @@ TEST(FleetSystemTest, GeometryMapsTenantsToContiguousRanges) {
 }
 
 TEST(FleetSystemTest, LanePartitionIsTenantContiguousAndBalanced) {
-  FleetConfig config;
-  for (int t = 0; t < 6; ++t) {
-    config.tenants.push_back({tree::line(4), 1, 2, proto::Features::full()});
-  }
-  config.threads = 3;
-  FleetSystem fleet(config);
+  // Lanes are min(R, kMaxLanes) tenant blocks whatever the thread count;
+  // threads only say how many workers run those blocks.
+  const int kTenants = 40;
+  for (int threads : {1, 3}) {
+    FleetConfig config;
+    for (int t = 0; t < kTenants; ++t) {
+      config.tenants.push_back(
+          {tree::line(4), 1, 2, proto::Features::full()});
+    }
+    config.threads = threads;
+    FleetSystem fleet(config);
 
-  EXPECT_EQ(fleet.threads(), 3);
-  int last_lane = 0;
-  for (int t = 0; t < fleet.tenant_count(); ++t) {
-    int lane = fleet.tenant_lane(t);
-    EXPECT_GE(lane, last_lane) << "lanes must be tenant-contiguous";
-    EXPECT_LT(lane, 3);
-    last_lane = lane;
+    EXPECT_EQ(fleet.threads(), threads);
+    EXPECT_EQ(fleet.parallel_engine() != nullptr, threads > 1);
+    ASSERT_EQ(fleet.engine().lane_count(), sim::Engine::kMaxLanes);
+    std::vector<int> per_lane(sim::Engine::kMaxLanes, 0);
+    int last_lane = 0;
+    for (int t = 0; t < fleet.tenant_count(); ++t) {
+      int lane = fleet.tenant_lane(t);
+      EXPECT_GE(lane, last_lane) << "lanes must be tenant-contiguous";
+      EXPECT_LE(lane, last_lane + 1) << "no lane may be left empty";
+      ASSERT_LT(lane, sim::Engine::kMaxLanes);
+      ++per_lane[static_cast<std::size_t>(lane)];
+      last_lane = lane;
+    }
+    // 40 equal tenants over 16 lanes: two or three tenants per lane.
+    for (int count : per_lane) {
+      EXPECT_GE(count, 2);
+      EXPECT_LE(count, 3);
+    }
+    fleet.engine().start();
+    EXPECT_TRUE(fleet.engine().lanes_closed());
   }
-  // 6 equal tenants over 3 lanes: 2 tenants per lane.
-  EXPECT_EQ(fleet.tenant_lane(1), 0);
-  EXPECT_EQ(fleet.tenant_lane(2), 1);
-  EXPECT_EQ(fleet.tenant_lane(5), 2);
 }
 
 TEST(FleetSystemTest, SingleTenantFaultLeavesOtherTenantsCorrect) {

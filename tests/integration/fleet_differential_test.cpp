@@ -12,9 +12,12 @@
 //      twin, including through a transient fault injected into ONE
 //      tenant only -- the faulted tenant tracks its (equally faulted)
 //      twin and the others never notice;
-//   3. the worker-lane count changes nothing per tenant (serial vs
-//      windowed parallel execution), and each tenant still matches its
-//      standalone twin's counters.
+//   3. the worker-thread count changes nothing per tenant (lane-major
+//      serial vs threaded windows over the same tenant-block lanes), and
+//      each tenant still matches its standalone twin's counters;
+//   4. lane-major execution (the lanes one after another) equals the
+//      merged-serial loop a blocking observer forces: stabilization
+//      results, per-tenant fingerprints and a watched SafetyMonitor.
 //
 // All phases run to fixed horizons (run_until aligns every lane clock
 // exactly at the horizon), so out-of-event actions -- fault injection,
@@ -24,11 +27,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/builder.hpp"
 #include "api/fleet.hpp"
 #include "proto/messages.hpp"
+#include "verify/safety_monitor.hpp"
 
 namespace klex {
 namespace {
@@ -299,7 +304,10 @@ TEST(FleetDifferentialTest, WorkerLaneCountDoesNotChangeTenantTrajectories) {
     std::unique_ptr<SystemBase> system = builder.build();
     auto* fleet = dynamic_cast<FleetSystem*>(system.get());
     EXPECT_NE(fleet, nullptr);
-    EXPECT_EQ(system->threads(), std::min(threads, kTenants));
+    // Lanes are tenant blocks (one per tenant here); threads are the
+    // workers running them, three workers taking blocks of 1, 1 and 2.
+    EXPECT_EQ(system->threads(), threads);
+    EXPECT_EQ(system->engine().lane_count(), kTenants);
     system->run_until(kHorizon);
     std::vector<TenantFingerprint> out;
     for (int t = 0; t < kTenants; ++t) {
@@ -312,6 +320,7 @@ TEST(FleetDifferentialTest, WorkerLaneCountDoesNotChangeTenantTrajectories) {
 
   std::vector<TenantFingerprint> serial = fingerprint(1);
   EXPECT_EQ(fingerprint(2), serial);
+  EXPECT_EQ(fingerprint(3), serial);
   EXPECT_EQ(fingerprint(4), serial);
 
   // And the serial fleet's per-tenant counters equal each standalone twin.
@@ -327,6 +336,132 @@ TEST(FleetDifferentialTest, WorkerLaneCountDoesNotChangeTenantTrajectories) {
     EXPECT_EQ(got.correct, twin->token_counts_correct()) << "tenant " << t;
   }
 }
+
+/// A blocking observer that does nothing: attaching it forces the
+/// merged-serial loops (Engine::run_until and the base
+/// run_until_stabilized) without changing what they execute.
+class MergedSerialForcer final : public sim::SimObserver {};
+
+struct StabilizeOutcome {
+  sim::SimTime returned = 0;
+  sim::SimTime now = 0;
+  std::uint64_t events = 0;
+  std::vector<sim::SimTime> tenant_stabilized_at;
+
+  friend bool operator==(const StabilizeOutcome&,
+                         const StabilizeOutcome&) = default;
+};
+
+struct LaneMajorRun {
+  std::vector<StabilizeOutcome> stabilizations;
+  std::vector<std::vector<TenantFingerprint>> fingerprints;
+  std::vector<std::int64_t> grants;
+  std::int64_t violations = 0;
+  sim::SimTime last_violation = 0;
+  std::vector<std::pair<NodeId, sim::SimTime>> stalls;  // (node, flagged)
+  bool lanes_closed = false;
+};
+
+class LaneMajorTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LaneMajorTest, LaneMajorEqualsMergedSerial) {
+  const int tenants = GetParam();
+  const std::uint64_t seed = 31337;
+
+  auto run = [&](bool force_merged) {
+    SystemBuilder builder = base_builder(seed);
+    builder.workload(contention_spec()).fleet(tenants);
+    Session session = builder.build_session();
+    auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
+    EXPECT_NE(fleet, nullptr);
+    MergedSerialForcer forcer;
+    if (force_merged) fleet->add_observer(&forcer);
+    verify::SafetyMonitor monitor(fleet->n(), fleet->k(), fleet->l());
+    monitor.set_stall_threshold(800);
+    fleet->add_listener(&monitor);
+    monitor.watch(fleet->engine());
+
+    LaneMajorRun out;
+    auto stabilize = [&](sim::SimTime deadline) {
+      StabilizeOutcome o;
+      o.returned = fleet->run_until_stabilized(deadline);
+      o.now = fleet->engine().now();
+      o.events = fleet->engine().events_executed();
+      for (int t = 0; t < tenants; ++t) {
+        o.tenant_stabilized_at.push_back(fleet->tenant_stabilized_at(t));
+      }
+      out.stabilizations.push_back(o);
+    };
+    auto fingerprint = [&] {
+      std::vector<TenantFingerprint> f;
+      for (int t = 0; t < tenants; ++t) {
+        f.push_back({fleet->tenant_events_executed(t),
+                     fleet->tenant_sent_of_type(t, kResourceType),
+                     fleet->tenant_correct(t)});
+      }
+      out.fingerprints.push_back(f);
+    };
+    auto fault = [&](std::uint64_t salt) {
+      support::Rng rng(seed ^ salt);
+      for (int t : {0, tenants / 2, tenants - 1}) {
+        fleet->inject_transient_fault_tenant(t, rng);
+      }
+      session.driver->resync();
+    };
+
+    // Boot, a closed-loop stretch, then faults recovered under load (the
+    // callbacks stay pending), one recovery that misses a tight deadline
+    // and one that makes it.
+    stabilize(1'000'000);
+    session.begin_workload();
+    fleet->run_until(fleet->engine().now() + 20'000);
+    fingerprint();
+    fault(0xFA17ull);
+    stabilize(fleet->engine().now() + 400'000);
+    fingerprint();
+    fault(0xBADull);
+    stabilize(fleet->engine().now() + 40);
+    stabilize(fleet->engine().now() + 400'000);
+    fleet->run_until(fleet->engine().now() + 10'000);
+    fingerprint();
+
+    for (NodeId v = 0; v < fleet->n(); ++v) {
+      out.grants.push_back(session.driver->grants(v));
+    }
+    out.violations = monitor.violation_count();
+    out.last_violation = monitor.last_violation_time();
+    for (const verify::SafetyMonitor::Stall& stall : monitor.stalls()) {
+      out.stalls.emplace_back(stall.node, stall.flagged_at);
+    }
+    out.lanes_closed = fleet->engine().lanes_closed();
+    return out;
+  };
+
+  const LaneMajorRun lane_major = run(false);
+  const LaneMajorRun merged = run(true);
+  ASSERT_TRUE(lane_major.lanes_closed);
+  ASSERT_EQ(lane_major.stabilizations.size(), 4u);
+  for (std::size_t i = 0; i < merged.stabilizations.size(); ++i) {
+    EXPECT_TRUE(lane_major.stabilizations[i] == merged.stabilizations[i])
+        << "stabilization " << i << ": returned "
+        << lane_major.stabilizations[i].returned << " vs "
+        << merged.stabilizations[i].returned << ", events "
+        << lane_major.stabilizations[i].events << " vs "
+        << merged.stabilizations[i].events;
+  }
+  // The phases exercise both exits: successes and the tight deadline.
+  EXPECT_NE(merged.stabilizations[0].returned, sim::kTimeInfinity);
+  EXPECT_EQ(merged.stabilizations[2].returned, sim::kTimeInfinity);
+  EXPECT_NE(merged.stabilizations[3].returned, sim::kTimeInfinity);
+  EXPECT_EQ(lane_major.fingerprints, merged.fingerprints);
+  EXPECT_EQ(lane_major.grants, merged.grants);
+  EXPECT_EQ(lane_major.violations, merged.violations);
+  EXPECT_EQ(lane_major.last_violation, merged.last_violation);
+  EXPECT_EQ(lane_major.stalls, merged.stalls);
+  EXPECT_GT(merged.stalls.size(), 0u) << "the watchdog must fire";
+}
+
+INSTANTIATE_TEST_SUITE_P(Tenants, LaneMajorTest, ::testing::Values(3, 16, 64));
 
 }  // namespace
 }  // namespace klex

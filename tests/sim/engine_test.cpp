@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -436,6 +437,134 @@ TEST(Engine, CrossLanePushInsideAWindowFails) {
   worker.join();
   EXPECT_TRUE(own_lane_ok);
   EXPECT_TRUE(threw);
+}
+
+TEST(Engine, CrossLaneSendInsideAWindowFails) {
+  // Inside a window a channel's ring and clamp belong to its source
+  // lane's thread: a send from a node of another lane must fail loudly,
+  // not race. As above, the window runs on its own thread.
+  LaneTriangle net;
+  bool own_lane_ok = false;
+  net.engine.schedule_in_stream(0, 1, [&] {
+    net.nodes[0]->send(0, tagged(0));  // lane 0 -> lane 1: the outbox
+    own_lane_ok = true;
+    net.nodes[1]->send(0, tagged(0));  // node 1 lives on lane 1
+  });
+  net.engine.start();
+  net.engine.begin_window(1);
+  bool threw = false;
+  std::thread worker([&] {
+    try {
+      net.engine.run_lane_window(0, 1);
+    } catch (const support::CheckFailure&) {
+      threw = true;
+    }
+  });
+  worker.join();
+  EXPECT_TRUE(own_lane_ok);
+  EXPECT_TRUE(threw);
+}
+
+/// Two disconnected echo pairs, {0, 1} on lane 0 and {2, 3} on lane 1:
+/// no channel crosses lanes.
+struct ClosedLanes {
+  ClosedLanes() : engine(DelayModel{1, 9}, 11) {
+    for (int v = 0; v < 4; ++v) {
+      auto node = std::make_unique<Recorder>(/*echo=*/true);
+      nodes.push_back(node.get());
+      engine.add_process(std::move(node));
+    }
+    engine.connect(0, 0, 1, 0);
+    engine.connect(1, 0, 0, 0);
+    engine.connect(2, 0, 3, 0);
+    engine.connect(3, 0, 2, 0);
+    engine.configure_lanes({0, 0, 1, 1}, 2);
+  }
+  Engine engine;
+  std::vector<Recorder*> nodes;
+};
+
+/// Logs the node of every delivery; blocking unless told otherwise.
+class DeliveryLog : public SimObserver {
+ public:
+  explicit DeliveryLog(bool safe) : safe_(safe) {}
+  void on_deliver(SimTime, NodeId to, int, const Message&) override {
+    nodes.push_back(to);
+  }
+  bool window_safe() const override { return safe_; }
+  std::vector<NodeId> nodes;
+
+ private:
+  bool safe_;
+};
+
+TEST(Engine, ClosedLanesRunOneAfterAnother) {
+  // Lane-major run_until on closed lanes: each lane runs through the
+  // whole window before the next starts, yet every node sees exactly the
+  // merged-serial trajectory (a blocking observer forces that loop).
+  auto run = [](bool blocking, std::vector<NodeId>* order) {
+    ClosedLanes net;
+    DeliveryLog log(/*safe=*/!blocking);
+    net.engine.add_observer(&log);
+    net.engine.start();
+    EXPECT_TRUE(net.engine.lanes_closed());
+    for (Recorder* node : {net.nodes[0], net.nodes[2]}) {
+      node->send(0, tagged(400));
+    }
+    net.engine.run_until(500);
+    EXPECT_EQ(net.engine.now(), 500);
+    *order = log.nodes;
+    std::vector<std::vector<Recorder::Delivery>> out;
+    for (Recorder* node : net.nodes) out.push_back(node->deliveries);
+    return out;
+  };
+  std::vector<NodeId> lane_major;
+  std::vector<NodeId> merged;
+  const auto lane_major_trace = run(false, &lane_major);
+  const auto merged_trace = run(true, &merged);
+  ASSERT_EQ(lane_major_trace.size(), merged_trace.size());
+  for (std::size_t v = 0; v < merged_trace.size(); ++v) {
+    ASSERT_EQ(lane_major_trace[v].size(), merged_trace[v].size());
+    ASSERT_FALSE(merged_trace[v].empty());
+    for (std::size_t i = 0; i < merged_trace[v].size(); ++i) {
+      EXPECT_EQ(lane_major_trace[v][i].at, merged_trace[v][i].at);
+      EXPECT_EQ(lane_major_trace[v][i].msg.f0, merged_trace[v][i].msg.f0);
+    }
+  }
+  // 500 ticks fit one window: lane 0's deliveries all precede lane 1's,
+  // while the merged loop interleaves them by time.
+  auto lane_of = [](NodeId v) { return v < 2 ? 0 : 1; };
+  ASSERT_EQ(lane_major.size(), merged.size());
+  EXPECT_TRUE(std::is_sorted(lane_major.begin(), lane_major.end(),
+                             [&](NodeId a, NodeId b) {
+                               return lane_of(a) < lane_of(b);
+                             }));
+  EXPECT_FALSE(std::is_sorted(merged.begin(), merged.end(),
+                              [&](NodeId a, NodeId b) {
+                                return lane_of(a) < lane_of(b);
+                              }));
+}
+
+TEST(Engine, ClosedLanesDrainUnderAnInfiniteHorizon) {
+  // run_until(kTimeInfinity) ends once the queue empties, lane-major as
+  // in the merged loop.
+  ClosedLanes net;
+  net.engine.start();
+  for (Recorder* node : {net.nodes[0], net.nodes[2]}) {
+    node->send(0, tagged(3));
+  }
+  net.engine.run_until(kTimeInfinity);
+  EXPECT_EQ(net.engine.events_executed(), 8u);
+  EXPECT_EQ(net.engine.next_event_time(), kTimeInfinity);
+}
+
+TEST(Engine, CrossingChannelsKeepTheMergedLoop) {
+  LaneTriangle net;
+  net.engine.start();
+  EXPECT_FALSE(net.engine.lanes_closed());
+  Pair serial;
+  serial.engine.start();
+  EXPECT_FALSE(serial.engine.lanes_closed());  // one lane
 }
 
 }  // namespace
