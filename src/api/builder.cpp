@@ -112,11 +112,27 @@ TopologyFaultResult Session::apply_fault_event(const FaultEvent& event,
       if (system->params().features.epoch_cut && event.duration > 0) {
         SystemBase* raw_system = system.get();
         WorkloadDriver* raw_driver = driver.get();
-        engine.schedule(event.duration, [raw_system, raw_driver]() {
-          if (raw_system->epoch_cut_recover() && raw_driver != nullptr) {
-            raw_driver->resync();
+        if (auto* fleet = dynamic_cast<FleetSystem*>(raw_system)) {
+          // One cut per tenant, each in the tenant's own stream: a
+          // callback touches only its stream's nodes, since closed lanes
+          // run their windows one after another.
+          for (int t = 0; t < fleet->tenant_count(); ++t) {
+            engine.schedule_in_stream(
+                t, event.duration, [fleet, raw_driver, t]() {
+                  if (fleet->epoch_cut_recover_tenant(t) &&
+                      raw_driver != nullptr) {
+                    raw_driver->resync(fleet->node_begin(t),
+                                       fleet->node_end(t));
+                  }
+                });
           }
-        });
+        } else {
+          engine.schedule(event.duration, [raw_system, raw_driver]() {
+            if (raw_system->epoch_cut_recover() && raw_driver != nullptr) {
+              raw_driver->resync();
+            }
+          });
+        }
       }
       // No immediate cut and no resync: protocol state is untouched at
       // injection time.

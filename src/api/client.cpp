@@ -381,10 +381,6 @@ void ClientPool::set_policy(MisusePolicy policy) {
   for (auto& client : clients_) client->set_policy(policy);
 }
 
-void ClientPool::resync() {
-  for (auto& client : clients_) client->resync();
-}
-
 void ClientPool::set_reachable(proto::NodeId node, bool up) {
   KLEX_REQUIRE(node >= 0 && node < size(), "bad node id ", node);
   clients_[static_cast<std::size_t>(node)]->set_reachable(up);

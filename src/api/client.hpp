@@ -290,9 +290,6 @@ class ClientPool final : public proto::Listener {
   MisusePolicy policy() const { return policy_; }
   void set_policy(MisusePolicy policy);
 
-  /// Client::resync() for every session (post-fault reconciliation).
-  void resync();
-
   /// Client::set_reachable for one node (topology-repair degradation).
   void set_reachable(proto::NodeId node, bool up);
 

@@ -257,14 +257,9 @@ sim::SimTime FleetSystem::run_until_stabilized(sim::SimTime deadline,
       probe_ok_[t] = tenant_ok_[t];
       continue;
     }
-    last = std::min(last, next + eng.bucket_window() - 1);
-    eng.begin_window(next);
-    for (int lane = 0; lane < eng.lane_count(); ++lane) {
-      lane_edges_[static_cast<std::size_t>(lane)].clear();
-      eng.run_lane_window(lane, last, this);
-    }
-    eng.end_window();
-    eng.sync_lanes_to(last);
+    for (std::vector<TenantEdge>& edges : lane_edges_) edges.clear();
+    eng.run_lanes_window(next, std::min(last, next + eng.bucket_window() - 1),
+                         this);
 
     merged_edges_.clear();
     for (const std::vector<TenantEdge>& edges : lane_edges_) {
@@ -467,6 +462,11 @@ void FleetSystem::release(NodeId node) {
   KLEX_REQUIRE(node >= 0 && node < n(), "bad node id ", node);
   sim::ScopedStream scope(tenant_of(node));
   SystemBase::release(node);
+}
+
+bool FleetSystem::admit(NodeId node, int need) const {
+  const int tenant = tenant_of(node);
+  return admits_among(node_begin(tenant), node_end(tenant), need);
 }
 
 }  // namespace klex

@@ -47,7 +47,10 @@
 // (at, seq) order, but the lanes one after another, not interleaved by
 // time: a listener that needs one global time order across tenants must
 // be a blocking SimObserver (which keeps the merged-serial loop) or keep
-// its state per tenant.
+// its state per tenant. The same holds for callbacks: each runs in one
+// tenant's stream and may touch only that tenant (a fleet-wide action,
+// such as a kChaosBurst's burst-end epoch cut, is one callback per
+// tenant), and the admission policy bounds each tenant's own wait queue.
 //
 // Construct directly from FleetConfig or through
 // SystemBuilder::fleet(R).build() (homogeneous tenants); client sessions
@@ -217,6 +220,11 @@ class FleetSystem : public SystemBase, private sim::Engine::LaneProbe {
   /// Attributes any delta the release fires to the owning tenant's
   /// stream (client sessions release from outside event execution).
   void release(NodeId node) override;
+  /// Per-tenant admission: the policy's bounds apply to the requesting
+  /// node's tenant alone, whose wait queue is all the scan reads -- the
+  /// other tenants may stand at other times (closed lanes run one after
+  /// another), and a standalone twin sees the same verdicts.
+  bool admit(NodeId node, int need) const override;
 
  protected:
   /// Incremental stabilization probe: a resync probe rescans all R

@@ -41,7 +41,7 @@ std::vector<core::KlProcessBase*> SystemBase::build_tree_protocol(
       build_tree_instance(tree, params_, 0, node_lane, physical);
   if (lane_count > 1) {
     engine_.configure_lanes(node_lane, lane_count);
-    parallel_ = std::make_unique<sim::ParallelEngine>(engine_);
+    parallel_ = std::make_unique<sim::ParallelEngine>(engine_, lane_count);
   }
   return nodes;
 }
@@ -210,11 +210,18 @@ int SystemBase::need_of(NodeId node) const {
 }
 
 bool SystemBase::admit(NodeId /*node*/, int need) const {
+  return admits_among(0, n(), need);
+}
+
+bool SystemBase::admits_among(NodeId begin, NodeId end, int need) const {
   if (!admission_policy_.enabled()) return true;
-  // O(n) census of the wait queue; only paid when a policy is set.
+  // O(end - begin) census of the wait queue; only paid when a policy is
+  // set.
   int waiting = 0;
   std::int64_t outstanding_need = 0;
-  for (const proto::ExclusionParticipant* participant : census_participants_) {
+  for (NodeId v = begin; v < end; ++v) {
+    const proto::ExclusionParticipant* participant =
+        census_participants_[static_cast<std::size_t>(v)];
     switch (participant->app_state()) {
       case proto::AppState::kReq:
         ++waiting;

@@ -96,7 +96,8 @@ class SystemBase : public proto::RequestPort {
   /// would exceed them are refused -- Client::acquire surfaces the
   /// refusal as DenyReason::kOverloaded, raw request() drops it -- so a
   /// degraded system sheds load instead of growing its wait queue
-  /// without bound. Default: admit everything.
+  /// without bound. Default: admit everything. A fleet applies the
+  /// bounds to each tenant's own wait queue (FleetSystem::admit).
   void set_admission_policy(const proto::AdmissionPolicy& policy) {
     admission_policy_ = policy;
   }
@@ -253,6 +254,10 @@ class SystemBase : public proto::RequestPort {
   /// Called once when the lazily created ClientPool comes up; a fleet
   /// stamps each client's TenantId here.
   virtual void on_clients_created(ClientPool& pool) { (void)pool; }
+
+  /// The admission policy's verdict on a request for `need` units, given
+  /// the wait queue of nodes [begin, end). True when no policy is set.
+  bool admits_among(NodeId begin, NodeId end, int need) const;
 
   /// Domains for random_message() during transient-fault injection.
   /// The default covers the tree-protocol topologies (myC domain of

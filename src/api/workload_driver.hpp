@@ -75,6 +75,8 @@ class WorkloadDriver {
   /// (revoking vanished grants, adopting phantom critical sections) and
   /// restarts the closed loop for idle active nodes.
   void resync();
+  /// resync() for nodes [begin, end) only (one fleet tenant).
+  void resync(proto::NodeId begin, proto::NodeId end);
 
   std::int64_t requests_issued(proto::NodeId node) const;
   std::int64_t grants(proto::NodeId node) const;

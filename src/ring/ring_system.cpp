@@ -52,7 +52,7 @@ RingSystem::RingSystem(RingConfig config)
                          std::min(config_.n, sim::Engine::kMaxLanes));
   if (lanes > 1) {
     engine_.configure_lanes(stree::partition_range(config_.n, lanes), lanes);
-    parallel_ = std::make_unique<sim::ParallelEngine>(engine_);
+    parallel_ = std::make_unique<sim::ParallelEngine>(engine_, lanes);
   }
 }
 

@@ -897,12 +897,7 @@ void Engine::run_lanes_until(SimTime t) {
   // infinite horizon would otherwise never leave behind.
   for (SimTime start = next_event_time(); start <= t && start < kTimeInfinity;
        start = next_event_time()) {
-    const SimTime last = std::min(t, start + cap - 1);
-    begin_window(start);
-    for (int lane = 0; lane < lane_count(); ++lane) {
-      run_lane_window(lane, last);
-    }
-    end_window();
+    run_lanes_window(start, std::min(t, start + cap - 1));
   }
   sync_lanes_to(t);
 }
@@ -921,26 +916,31 @@ void Engine::begin_window(SimTime start) {
   }
 }
 
-void Engine::run_lane_window(int lane_index, SimTime t, LaneProbe* probe) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  detail::t_current_lane = lane_index;
-  Event event;
-  while (lane.queue.pop_min_until(t, &event)) {
-    if (event.at != lane.now) {
-      lane.now = event.at;
-      lane.queue.advance_to(event.at);
+void Engine::run_lane_window(int first, int end, SimTime t,
+                             LaneProbe* probe) {
+  for (int lane_index = first; lane_index < end; ++lane_index) {
+    Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
+    detail::t_current_lane = lane_index;
+    Event event;
+    while (lane.queue.pop_min_until(t, &event)) {
+      if (event.at != lane.now) {
+        lane.now = event.at;
+        lane.queue.advance_to(event.at);
+      }
+      ++lane.events_executed;
+      // Safe concurrently: this lane's events only carry streams homed on
+      // this lane, so the stream cell and the TLS slot are single-writer.
+      // last_stream_ is deliberately not updated here -- it serves the
+      // merged-serial stabilization loop only.
+      const int stream_index = stream_of_event(event);
+      ++stream(stream_index).events_executed;
+      detail::t_current_stream = stream_index;
+      detail::t_current_event_seq = event.seq;
+      dispatch(lane, event);
+      if (probe != nullptr) {
+        probe->after_event(lane_index, stream_index, event);
+      }
     }
-    ++lane.events_executed;
-    // Safe concurrently: this lane's events only carry streams homed on
-    // this lane, so the stream cell and the TLS slot are single-writer.
-    // last_stream_ is deliberately not updated here -- it serves the
-    // merged-serial stabilization loop only.
-    const int stream_index = stream_of_event(event);
-    ++stream(stream_index).events_executed;
-    detail::t_current_stream = stream_index;
-    detail::t_current_event_seq = event.seq;
-    dispatch(lane, event);
-    if (probe != nullptr) probe->after_event(lane_index, stream_index, event);
   }
   detail::t_current_event_seq = 0;
   detail::t_current_lane = 0;
@@ -977,6 +977,13 @@ void Engine::sync_lanes_to(SimTime t) {
       lane.queue.advance_to(t);
     }
   }
+}
+
+void Engine::run_lanes_window(SimTime start, SimTime last, LaneProbe* probe) {
+  begin_window(start);
+  run_lane_window(0, lane_count(), last, probe);
+  end_window();
+  sync_lanes_to(last);
 }
 
 }  // namespace klex::sim

@@ -439,10 +439,11 @@ class Engine {
 
   // -- window protocol (driven by sim::ParallelEngine) -----------------------
   //
-  // begin_window(W) -> concurrent run_lane_window(lane, end) per lane ->
-  // end_window() -> repeat; finish with sync_lanes_to(t). Between
-  // begin_window and end_window only run_lane_window may touch the
-  // engine, each lane index from at most one thread.
+  // begin_window(W) -> concurrent run_lane_window(first, end, last) over
+  // disjoint lane ranges -> end_window() -> repeat; finish with
+  // sync_lanes_to(t). Between begin_window and end_window only
+  // run_lane_window may touch the engine, each lane index from at most
+  // one thread. run_lanes_window is one whole window on one thread.
 
   /// Opens a window starting at `start` (>= every lane clock): advances
   /// all lane clocks and ring windows, and flips sends into deferred
@@ -459,10 +460,12 @@ class Engine {
     ~LaneProbe() = default;
   };
 
-  /// Executes every pending event of `lane` with at <= `t` (the window
-  /// end, exclusive, minus one). Thread-safe across distinct lanes while
-  /// a window is open. `probe`, if any, sees every executed event.
-  void run_lane_window(int lane, SimTime t, LaneProbe* probe = nullptr);
+  /// Executes every pending event with at <= `t` (the window end,
+  /// exclusive, minus one) of lanes [first, end), one lane after another.
+  /// Thread-safe across disjoint lane ranges while a window is open.
+  /// `probe`, if any, sees every executed event.
+  void run_lane_window(int first, int end, SimTime t,
+                       LaneProbe* probe = nullptr);
 
   /// Closes the window: merges every lane outbox (in lane order) into
   /// the destination queues and channel rings. Single-threaded.
@@ -470,6 +473,12 @@ class Engine {
 
   /// Advances every lane clock to at least `t` (end of a windowed run).
   void sync_lanes_to(SimTime t);
+
+  /// One whole window on the calling thread: begin_window(start), every
+  /// lane through `last` in lane order (probed by `probe`, if any),
+  /// end_window(), sync_lanes_to(last). The closed-lane loops' step.
+  void run_lanes_window(SimTime start, SimTime last,
+                        LaneProbe* probe = nullptr);
 
   /// True between begin_window and end_window: observer callbacks may be
   /// firing concurrently from several lane threads, so a window-safe
@@ -560,6 +569,11 @@ class Engine {
 
   /// Schedules `fn` to run at now() + delay as a standalone event (used by
   /// workloads / applications to model request arrivals and CS completion).
+  /// The callback runs in the executing stream (stream 0 outside event
+  /// execution) and must touch only that stream's nodes: on closed lanes
+  /// it runs inside its lane's window while the other lanes stand at
+  /// other times, so a callback that acts for several tenants must be
+  /// split into one schedule_in_stream per tenant.
   void schedule(SimTime delay, std::function<void()> fn);
 
   /// schedule() in an explicit stream, for callers that act for a node

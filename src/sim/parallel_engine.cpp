@@ -8,12 +8,13 @@ namespace klex::sim {
 
 ParallelEngine::ParallelEngine(Engine& engine, int workers) : engine_(engine) {
   const int lanes = engine_.lane_count();
-  const int threads = workers <= 0 ? lanes : std::min(workers, lanes);
+  KLEX_REQUIRE(workers >= 1 && workers <= lanes, "need 1..", lanes,
+               " workers for ", lanes, " lanes, got ", workers);
   // Contiguous lane blocks, as even as the counts allow.
-  lane_begin_.reserve(static_cast<std::size_t>(threads) + 1);
-  for (int w = 0; w <= threads; ++w) lane_begin_.push_back(w * lanes / threads);
-  workers_.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 1; w < threads; ++w) {
+  lane_begin_.reserve(static_cast<std::size_t>(workers) + 1);
+  for (int w = 0; w <= workers; ++w) lane_begin_.push_back(w * lanes / workers);
+  workers_.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
   }
 }
@@ -28,10 +29,9 @@ ParallelEngine::~ParallelEngine() {
 }
 
 void ParallelEngine::run_block(int worker, SimTime last) {
-  for (int lane = lane_begin_[static_cast<std::size_t>(worker)];
-       lane < lane_begin_[static_cast<std::size_t>(worker) + 1]; ++lane) {
-    engine_.run_lane_window(lane, last);
-  }
+  engine_.run_lane_window(lane_begin_[static_cast<std::size_t>(worker)],
+                          lane_begin_[static_cast<std::size_t>(worker) + 1],
+                          last);
 }
 
 void ParallelEngine::worker_main(int worker) {

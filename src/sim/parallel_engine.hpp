@@ -53,12 +53,11 @@ namespace klex::sim {
 
 class ParallelEngine {
  public:
-  /// Binds to `engine` with `workers` threads (clamped to [1, lanes];
-  /// 0 = one per lane). Worker w runs a contiguous block of lanes; worker
-  /// 0 is the thread calling run_until, the others are persistent
-  /// threads. The engine must outlive this object and must not be
-  /// repartitioned while bound.
-  explicit ParallelEngine(Engine& engine, int workers = 0);
+  /// Binds to `engine` with `workers` threads (1..lane_count()). Worker
+  /// w runs a contiguous block of lanes; worker 0 is the thread calling
+  /// run_until, the others are persistent threads. The engine must
+  /// outlive this object and must not be repartitioned while bound.
+  ParallelEngine(Engine& engine, int workers);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;

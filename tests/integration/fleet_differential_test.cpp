@@ -17,7 +17,9 @@
 //      each tenant still matches its standalone twin's counters;
 //   4. lane-major execution (the lanes one after another) equals the
 //      merged-serial loop a blocking observer forces: stabilization
-//      results, per-tenant fingerprints and a watched SafetyMonitor.
+//      results, per-tenant fingerprints and a watched SafetyMonitor --
+//      also under a per-tenant admission policy and under chaos bursts
+//      whose burst-end epoch cuts run as callbacks.
 //
 // All phases run to fixed horizons (run_until aligns every lane clock
 // exactly at the horizon), so out-of-event actions -- fault injection,
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -356,21 +359,55 @@ struct LaneMajorRun {
   std::vector<StabilizeOutcome> stabilizations;
   std::vector<std::vector<TenantFingerprint>> fingerprints;
   std::vector<std::int64_t> grants;
+  std::vector<std::int64_t> recoveries;
+  std::int64_t overloaded = 0;
   std::int64_t violations = 0;
   sim::SimTime last_violation = 0;
   std::vector<std::pair<NodeId, sim::SimTime>> stalls;  // (node, flagged)
   bool lanes_closed = false;
 };
 
-class LaneMajorTest : public ::testing::TestWithParam<int> {};
+/// How a lane-major case perturbs the fleet between its phases.
+enum class LaneMajorFault {
+  kTransient,   // transient faults into three tenants, driver resync
+  kChaosBurst,  // a fleet-wide kChaosBurst plan event on full+cut tenants
+};
+
+struct LaneMajorCase {
+  const char* name;
+  int tenants;
+  LaneMajorFault fault;
+  bool admission;  // a per-tenant admission policy that sheds load
+};
+
+void PrintTo(const LaneMajorCase& c, std::ostream* os) { *os << c.name; }
+
+class LaneMajorTest : public ::testing::TestWithParam<LaneMajorCase> {};
 
 TEST_P(LaneMajorTest, LaneMajorEqualsMergedSerial) {
-  const int tenants = GetParam();
+  const LaneMajorCase& param = GetParam();
+  const int tenants = param.tenants;
   const std::uint64_t seed = 31337;
+  FaultEvent burst;
+  burst.kind = FaultKind::kChaosBurst;
+  burst.chaos.drop_p = 0.2;
+  burst.chaos.dup_p = 0.2;
+  burst.duration = 2'000;
 
   auto run = [&](bool force_merged) {
     SystemBuilder builder = base_builder(seed);
     builder.workload(contention_spec()).fleet(tenants);
+    if (param.fault == LaneMajorFault::kChaosBurst) {
+      FaultPlan plan;
+      plan.events.push_back(burst);
+      builder.features(proto::Features::full().with_epoch_cut())
+          .fault_plan(plan);
+    }
+    if (param.admission) {
+      proto::AdmissionPolicy admission;
+      admission.max_waiting = 2;
+      builder.admission_policy(admission);
+    }
     Session session = builder.build_session();
     auto* fleet = dynamic_cast<FleetSystem*>(session.system.get());
     EXPECT_NE(fleet, nullptr);
@@ -403,6 +440,13 @@ TEST_P(LaneMajorTest, LaneMajorEqualsMergedSerial) {
     };
     auto fault = [&](std::uint64_t salt) {
       support::Rng rng(seed ^ salt);
+      if (param.fault == LaneMajorFault::kChaosBurst) {
+        // The burst's cuts wait for burst end, as callbacks: run past it
+        // so they fire inside the lanes' windows, not at the horizon.
+        session.apply_fault_event(burst, rng);
+        fleet->run_until(fleet->engine().now() + 2 * burst.duration);
+        return;
+      }
       for (int t : {0, tenants / 2, tenants - 1}) {
         fleet->inject_transient_fault_tenant(t, rng);
       }
@@ -428,6 +472,10 @@ TEST_P(LaneMajorTest, LaneMajorEqualsMergedSerial) {
     for (NodeId v = 0; v < fleet->n(); ++v) {
       out.grants.push_back(session.driver->grants(v));
     }
+    for (int t = 0; t < tenants; ++t) {
+      out.recoveries.push_back(fleet->tenant_recovery_events(t));
+    }
+    out.overloaded = session.driver->deny_count(DenyReason::kOverloaded);
     out.violations = monitor.violation_count();
     out.last_violation = monitor.last_violation_time();
     for (const verify::SafetyMonitor::Stall& stall : monitor.stalls()) {
@@ -455,13 +503,42 @@ TEST_P(LaneMajorTest, LaneMajorEqualsMergedSerial) {
   EXPECT_NE(merged.stabilizations[3].returned, sim::kTimeInfinity);
   EXPECT_EQ(lane_major.fingerprints, merged.fingerprints);
   EXPECT_EQ(lane_major.grants, merged.grants);
+  EXPECT_EQ(lane_major.recoveries, merged.recoveries);
+  EXPECT_EQ(lane_major.overloaded, merged.overloaded);
   EXPECT_EQ(lane_major.violations, merged.violations);
   EXPECT_EQ(lane_major.last_violation, merged.last_violation);
   EXPECT_EQ(lane_major.stalls, merged.stalls);
   EXPECT_GT(merged.stalls.size(), 0u) << "the watchdog must fire";
+  // Each case must exercise what it is named for.
+  if (param.admission) {
+    EXPECT_GT(merged.overloaded, 0) << "the policy must shed requests";
+  }
+  if (param.fault == LaneMajorFault::kChaosBurst) {
+    std::int64_t cuts = 0;
+    int cut_on_later_lane = 0;
+    for (std::size_t t = 0; t < merged.recoveries.size(); ++t) {
+      cuts += merged.recoveries[t];
+      if (merged.recoveries[t] > 0 && t >= merged.recoveries.size() / 2) {
+        ++cut_on_later_lane;
+      }
+    }
+    EXPECT_GT(cuts, 0) << "burst-end cuts must drain damaged tenants";
+    EXPECT_GT(cut_on_later_lane, 0) << "a cut must land beyond lane 0";
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Tenants, LaneMajorTest, ::testing::Values(3, 16, 64));
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, LaneMajorTest,
+    ::testing::Values(
+        LaneMajorCase{"tenants3", 3, LaneMajorFault::kTransient, false},
+        LaneMajorCase{"tenants16", 16, LaneMajorFault::kTransient, false},
+        LaneMajorCase{"tenants64", 64, LaneMajorFault::kTransient, false},
+        LaneMajorCase{"admission16", 16, LaneMajorFault::kTransient, true},
+        LaneMajorCase{"chaos_burst16", 16, LaneMajorFault::kChaosBurst,
+                      false}),
+    [](const ::testing::TestParamInfo<LaneMajorCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace klex

@@ -429,7 +429,7 @@ TEST(Engine, CrossLanePushInsideAWindowFails) {
   bool threw = false;
   std::thread worker([&] {
     try {
-      net.engine.run_lane_window(0, 1);
+      net.engine.run_lane_window(0, 1, 1);
     } catch (const support::CheckFailure&) {
       threw = true;
     }
@@ -455,7 +455,7 @@ TEST(Engine, CrossLaneSendInsideAWindowFails) {
   bool threw = false;
   std::thread worker([&] {
     try {
-      net.engine.run_lane_window(0, 1);
+      net.engine.run_lane_window(0, 1, 1);
     } catch (const support::CheckFailure&) {
       threw = true;
     }

@@ -138,7 +138,8 @@ TEST(ParallelDifferential, OneLaneWindowedIsBitIdenticalToSerial) {
 
   // Drive the windowed loop directly over the 1-lane engine; chunked cut
   // points also exercise window resumption across run_until calls.
-  sim::ParallelEngine windows(windowed.engine());
+  sim::ParallelEngine windows(windowed.engine(),
+                              windowed.engine().lane_count());
   for (sim::SimTime t : {sim::SimTime{1'000}, sim::SimTime{7'000},
                          sim::SimTime{40'000}, sim::SimTime{200'000}}) {
     serial.run_until(t);
